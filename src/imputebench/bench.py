@@ -189,6 +189,8 @@ def discover_datasets(path: Union[str, Path]) -> list[DatasetRecord]:
             raise DatasetFormatError(f"{path}: manifest needs a 'datasets' list")
         records = []
         for entry in entries:
+            if not isinstance(entry, dict) or "path" not in entry:
+                raise DatasetFormatError(f"{path}: manifest entry {entry!r} has no 'path'")
             csv_path = Path(entry["path"])
             if not csv_path.is_absolute():
                 csv_path = path.parent / csv_path

@@ -288,8 +288,14 @@ def _cmd_bench(args) -> int:
 
 def _cmd_report(args) -> int:
     doc = json.loads(Path(args.report_path).read_text())
-    methods = [m["name"] for m in doc["config"]["methods"]]
-    rows = bench_mod.render_table(doc["aggregates"], methods)
+    try:
+        methods = [m["name"] for m in doc["config"]["methods"]]
+        rows = bench_mod.render_table(doc["aggregates"], methods)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"{args.report_path}: not a bench report with config.methods and "
+            f"aggregates ({type(exc).__name__}: {exc})"
+        ) from exc
     for row in rows:
         print("  ".join(f"{cell:<22}" for cell in row).rstrip())
     if args.out:
@@ -315,7 +321,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

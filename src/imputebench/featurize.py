@@ -4,12 +4,13 @@ The row for cell (i, j) is the concatenation (i, j, row i of X, column j of
 X), width m + n + 2, with NaN kept wherever the context is missing. Observed
 cells form the training split and missing cells the test split, which turns
 imputation into plain supervised regression. A closed-form ridge consumer is
-provided as the desk-scale regressor for this table.
+provided as the desk-scale regressor for this table. Every column of its
+numeric design depends on the row alone or on the column alone, so it fits
+from an m-row and an n-row block and never materializes the per-cell design.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,27 +78,22 @@ def build_features(ds: MaskedDataset) -> FeatureTable:
     )
 
 
-def _prepare_design(ft: FeatureTable) -> np.ndarray:
-    """Make the table numeric: z-score the index pair on the training rows,
-    mean-fill context sentinels, and append one missing indicator per
-    context column."""
-    index_cols = ft.features[:, :2].copy()
-    context = ft.features[:, 2:]
-    train = ft.train_rows
+def _side_block(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """The design columns owned by the rows of x, one block row per row: the
+    z-scored index, the mean-filled context and its missing indicators.
 
-    mu = index_cols[train].mean(axis=0)
-    sd = index_cols[train].std(axis=0)
-    sd[sd == 0] = 1.0
-    index_cols = (index_cols - mu) / sd
-
-    indicators = np.isnan(context).astype(float)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        fill = np.nanmean(context[train], axis=0)
-    fill = np.where(np.isnan(fill), 0.0, fill)
-    filled = np.where(np.isnan(context), fill, context)
-
-    return np.concatenate([index_cols, filled, indicators], axis=1)
+    Statistics are taken over the training cells, in which row i of x
+    appears weight[i] times, and the block is centred on the same weights.
+    """
+    total = weight.sum()
+    index = np.arange(x.shape[0]) - weight @ np.arange(x.shape[0]) / total
+    sd = np.sqrt(weight @ index**2 / total)
+    missing = np.isnan(x)
+    counts = weight @ ~missing
+    with np.errstate(invalid="ignore"):
+        fill = np.where(counts > 0, weight @ np.where(missing, 0.0, x) / counts, 0.0)
+    block = np.column_stack([index / (sd or 1.0), np.where(missing, fill, x), missing])
+    return block - weight @ block / total
 
 
 def _ridge_fit_predict(
@@ -106,34 +102,39 @@ def _ridge_fit_predict(
     """Closed-form ridge on the training rows.
 
     Returns (predictions at test rows, fitted values at train rows). The
-    intercept is handled by centering and left unpenalized.
+    intercept is handled by centering and left unpenalized. The centred
+    design row of cell (i, j) is [R[i], C[j]], R and C from _side_block, so
+    every prediction is additive: R[i] @ beta_r + C[j] @ beta_c + mean(y).
     """
     if ridge_lambda < 0:
         raise ValueError(f"ridge penalty must be >= 0, got {ridge_lambda}")
     if ft.train_rows.size == 0:
         raise ValueError("no training rows: the dataset has no observed entry")
-    design = _prepare_design(ft)
-    a_train = design[ft.train_rows]
-    y_train = ft.targets[ft.train_rows]
+    m, n = ft.shape
+    x = ft.targets.reshape(m, n)
+    train = np.bincount(ft.train_rows, minlength=m * n).reshape(m, n)
+    row_w, col_w = train.sum(axis=1), train.sum(axis=0)
+    rows, cols = _side_block(x, row_w), _side_block(x.T, col_w)
+    y_mean = ft.targets[ft.train_rows].mean()
+    y_c = np.where(train > 0, x - y_mean, 0.0)
 
-    col_mean = a_train.mean(axis=0)
-    y_mean = y_train.mean()
-    a_c = a_train - col_mean
-    y_c = y_train - y_mean
-
-    gram = a_c.T @ a_c
-    if ridge_lambda > 0:
-        gram = gram + ridge_lambda * np.eye(gram.shape[0])
+    cross = rows.T @ train @ cols
+    gram = np.block([
+        [rows.T @ (row_w[:, None] * rows), cross],
+        [cross.T, cols.T @ (col_w[:, None] * cols)],
+    ])
+    gram[np.diag_indices_from(gram)] += ridge_lambda
+    rhs = np.concatenate([rows.T @ y_c.sum(axis=1), cols.T @ y_c.sum(axis=0)])
     try:
-        beta = np.linalg.solve(gram, a_c.T @ y_c)
+        beta = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "normal equations are singular at this penalty; retry with a "
             "larger ridge_lambda"
         ) from exc
-    test_pred = (design[ft.test_rows] - col_mean) @ beta + y_mean
-    train_fit = a_c @ beta + y_mean
-    return test_pred, train_fit
+    split = rows.shape[1]
+    pred = np.add.outer(rows @ beta[:split], cols @ beta[split:]).ravel() + y_mean
+    return pred[ft.test_rows], pred[ft.train_rows]
 
 
 def ridge_on_features(ft: FeatureTable, ridge_lambda: float) -> np.ndarray:

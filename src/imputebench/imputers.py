@@ -152,16 +152,17 @@ def impute_knn(ds: MaskedDataset, k: int = 5) -> ImputationResult:
 # ---------------------------------------------------------------------------
 
 
-def _soft_threshold_svd(w: np.ndarray, lam: float) -> np.ndarray:
+def _soft_threshold_svd(w: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink every singular value of w by lam: the result and its spectrum."""
     u, s, vt = np.linalg.svd(w, full_matrices=False)
     s = np.maximum(s - lam, 0.0)
-    return (u * s) @ vt
+    return (u * s) @ vt, s
 
 
-def _soft_objective(ds: MaskedDataset, z: np.ndarray, lam: float) -> float:
+def _soft_objective(ds: MaskedDataset, z: np.ndarray, lam: float, s: np.ndarray) -> float:
+    """The objective at z, given the singular values s of z."""
     resid = ds.observed[ds.mask.observed] - z[ds.mask.observed]
-    nuclear = np.linalg.svd(z, compute_uv=False).sum()
-    return 0.5 * float(resid @ resid) + lam * float(nuclear)
+    return 0.5 * float(resid @ resid) + lam * float(s.sum())
 
 
 def impute_soft(
@@ -183,19 +184,20 @@ def impute_soft(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     z = _mean_fill(ds)
+    spectrum = np.linalg.svd(z, compute_uv=False)
     if lam is None:
-        lam = 0.1 * float(np.linalg.svd(z, compute_uv=False)[0])
+        lam = 0.1 * float(spectrum[0])
     observed = ds.mask.observed
-    objective = [_soft_objective(ds, z, lam)]
+    objective = [_soft_objective(ds, z, lam, spectrum)]
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         w = np.where(observed, ds.observed, z)
-        z_new = _soft_threshold_svd(w, lam)
+        z_new, spectrum = _soft_threshold_svd(w, lam)
         denom = max(float(np.linalg.norm(z)), 1e-12)
         change = float(np.linalg.norm(z_new - z)) / denom
         z = z_new
-        objective.append(_soft_objective(ds, z, lam))
+        objective.append(_soft_objective(ds, z, lam, spectrum))
         if change < tol:
             converged = True
             break
@@ -289,15 +291,11 @@ def impute_featurized_ridge(
     """Run closed-form ridge on the entry-wise feature table."""
     ft = build_features(ds)
     test_pred, train_fit = _ridge_fit_predict(ft, ridge_lambda)
-    filled = np.where(ds.mask.observed, ds.observed, 0.0)
-    fitted = np.array(filled)
-    test_cells = ft.cell_index[ft.test_rows]
-    train_cells = ft.cell_index[ft.train_rows]
-    filled[test_cells[:, 0], test_cells[:, 1]] = test_pred
-    fitted[train_cells[:, 0], train_cells[:, 1]] = train_fit
-    fitted[test_cells[:, 0], test_cells[:, 1]] = test_pred
+    fitted = np.empty(ds.shape)  # table rows are cells in row-major order
+    fitted.flat[ft.test_rows] = test_pred
+    fitted.flat[ft.train_rows] = train_fit
     return _finish(
-        ds, filled, fitted, {"method": "featurized-ridge", "ridge_lambda": ridge_lambda}
+        ds, fitted, fitted, {"method": "featurized-ridge", "ridge_lambda": ridge_lambda}
     )
 
 

@@ -226,3 +226,34 @@ def test_report_rerenders_table(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "Overall" in printed
     assert (tmp_path / "table.csv").read_text().startswith("pattern,")
+
+
+def test_malformed_manifest_and_report_exit_two_naming_the_file(tmp_path, capsys):
+    data_dir = tmp_path / "datasets"
+    data_dir.mkdir()
+    _gen_dataset(data_dir, name="d.csv")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"datasets": [{"name": "d"}]}))
+    assert main([
+        "bench", "--datasets", str(manifest), "--patterns", "mcar",
+        "--methods", "col-mean,knn", "--out", str(tmp_path / "o"),
+    ]) == 2
+    assert str(manifest) in capsys.readouterr().err
+
+    for doc in ({"aggregates": {"per_pattern": {}, "overall": {}}},
+                {"config": {"methods": [{"name": "col-mean"}]}}):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        assert main(["report", "--report", str(report)]) == 2
+        assert str(report) in capsys.readouterr().err
+
+
+def test_internal_key_error_is_not_a_configuration_error(tmp_path, monkeypatch):
+    import imputebench.cli as cli
+
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli._COMMANDS, "report", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["report", "--report", str(tmp_path / "report.json")])

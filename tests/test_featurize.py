@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,52 @@ def test_ridge_train_fit_dimensions():
     test_pred, train_fit = _ridge_fit_predict(ft, 0.1)
     assert test_pred.shape == (ft.test_rows.size,)
     assert train_fit.shape == (ft.train_rows.size,)
+
+
+def _explicit_ridge(ft, ridge_lambda):
+    """Closed-form ridge on the widened (m*n)-row design, written out: the
+    index pair z-scored on the training rows, the context mean-filled over
+    the training rows (0 where a context column has no observed value) and
+    one missing indicator per context column, solved after centring."""
+    train = ft.train_rows
+    index = ft.features[:, :2]
+    sd = index[train].std(axis=0)
+    index = (index - index[train].mean(axis=0)) / np.where(sd == 0, 1.0, sd)
+    context = ft.features[:, 2:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fill = np.nanmean(context[train], axis=0)
+    fill = np.where(np.isnan(fill), 0.0, fill)
+    missing = np.isnan(context)
+    design = np.concatenate([index, np.where(missing, fill, context), missing], axis=1)
+    mu = design[train].mean(axis=0)
+    y = ft.targets[train]
+    a_c = design[train] - mu
+    gram = a_c.T @ a_c + ridge_lambda * np.eye(design.shape[1])
+    beta = np.linalg.solve(gram, a_c.T @ (y - y.mean()))
+    return (design[ft.test_rows] - mu) @ beta + y.mean(), a_c @ beta + y.mean()
+
+
+def test_ridge_matches_explicit_design_and_is_additive():
+    rng = np.random.default_rng(17)
+    for case in range(100):
+        m, n = int(rng.integers(2, 31)), int(rng.integers(2, 21))
+        ind = (rng.random((m, n)) < rng.uniform(0.3, 0.95)).astype(np.uint8)
+        if case == 0:
+            ind[:, -1] = 0  # a column with no observed entry
+        if case == 1:
+            ind[-1, :] = 0  # a row with no observed entry
+        ind[0, 0] = 1
+        ft = build_features(_masked(rng.normal(size=(m, n)), ind))
+        for lam in (1e-3, 1.0):
+            test_pred, train_fit = _ridge_fit_predict(ft, lam)
+            ref = np.concatenate(_explicit_ridge(ft, lam))
+            err = np.abs(np.concatenate([test_pred, train_fit]) - ref).max()
+            assert err <= 1e-9 * np.abs(ref).max(), (case, m, n, lam)
+
+            pred = np.empty(m * n)
+            pred[ft.test_rows], pred[ft.train_rows] = test_pred, train_fit
+            pred = pred.reshape(m, n)
+            resid = (pred - pred.mean(axis=0) - pred.mean(axis=1)[:, None]
+                     + pred.mean())
+            assert np.abs(resid).max() <= 1e-9, (case, m, n, lam)

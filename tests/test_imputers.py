@@ -161,6 +161,25 @@ def test_soft_objective_is_monotone():
         assert all(b <= a + 1e-9 * max(abs(a), 1.0) for a, b in zip(obj, obj[1:]))
 
 
+def _soft_objective_of(ds, z, lam):
+    obs = ds.mask.observed
+    resid = ds.observed[obs] - z[obs]
+    return 0.5 * resid @ resid + lam * np.linalg.svd(z, compute_uv=False).sum()
+
+
+def test_soft_objective_matches_recomputed_nuclear_norm():
+    for s, (lam, max_iter) in enumerate([(0.5, 200), (None, 200), (2.0, 3)]):
+        ds = _random_ds(20, 12, 0.4, 120 + s, rank=3)
+        res = impute_soft(ds, lam=lam, max_iter=max_iter)
+        lam = res.diagnostics["lambda"]
+        obj = res.diagnostics["objective"]
+        z = res.fitted_observed.values
+        assert obj[-1] == pytest.approx(_soft_objective_of(ds, z, lam), rel=1e-9)
+        means = np.nan_to_num(np.nanmean(ds.observed, axis=0))
+        start = np.where(ds.mask.observed, ds.observed, means)
+        assert obj[0] == pytest.approx(_soft_objective_of(ds, start, lam), rel=1e-9)
+
+
 def test_soft_recovers_rank_one_matrix():
     rng = np.random.default_rng(46)
     u = rng.normal(size=50)
