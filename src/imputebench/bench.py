@@ -426,6 +426,13 @@ def _aggregate(cells: Sequence[dict], methods: Sequence[str]) -> dict:
         per_pattern.setdefault(cell["pattern"], {}).setdefault(
             cell["method"], []
         ).append(cell["accuracy"])
+    runs: dict[str, dict] = {}
+    for cell in cells:
+        diag = cell["diagnostics"]  # empty unless the cell was scored
+        if "converged" in diag:
+            runs.setdefault(cell["method"], {}).setdefault(cell["pattern"], []).append(
+                (diag["converged"], diag["iterations"])
+            )
     return {
         "per_pattern": {
             pattern: {m: stats(vals) for m, vals in by_method.items()}
@@ -433,6 +440,17 @@ def _aggregate(cells: Sequence[dict], methods: Sequence[str]) -> dict:
         },
         "overall": overall,
         "std_convention": "sample std (ddof=1) across (dataset, replicate) groups",
+        "convergence": {
+            method: {
+                pattern: {
+                    "converged_frac": float(np.mean([c for c, _ in pairs])),
+                    "mean_iterations": float(np.mean([i for _, i in pairs])),
+                    "n_cells": len(pairs),
+                }
+                for pattern, pairs in by_pattern.items()
+            }
+            for method, by_pattern in runs.items()
+        },
     }
 
 

@@ -1,7 +1,9 @@
 """Two-layer ensembling: permutation averaging and an adaptive convex blend.
 
 The permutation layer shuffles rows and columns, imputes, undoes the
-shuffle, and averages. The blend layer runs two base methods and combines
+shuffle, and averages. A permutation-equivariant base (``EQUIVARIANT_METHODS``)
+runs once on the input instead: each shuffled run would give that same result
+up to rounding. The blend layer runs two base methods and combines
 them with the closed-form weight that minimizes squared error against the
 observed entries; the weight is intentionally not clipped to [0, 1].
 """
@@ -14,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import DataMatrix, Mask, MaskedDataset, SeedSpec
-from .imputers import ImputationResult, Imputer, make_imputer
+from .imputers import EQUIVARIANT_METHODS, ImputationResult, Imputer, make_imputer
 
 __all__ = [
     "EnsembleSpec",
@@ -63,13 +65,35 @@ def permutation_ensemble(
     """Average the base imputer over row/column permutations of the input.
 
     ``perms`` pins explicit (row, column) permutation pairs, mainly for
-    tests; otherwise each pair is drawn from its own derived stream.
+    tests, and is always run as given; otherwise each pair is drawn from its
+    own derived stream. Without ``perms``, a base in ``EQUIVARIANT_METHODS``
+    runs once on the unpermuted input, since its permutation average equals
+    that single run up to rounding. The diagnostics report ``n_perms`` either
+    way.
     """
     if n_perms < 1:
         raise ValueError(f"n_perms must be >= 1, got {n_perms}")
-    if perms is not None and len(perms) != n_perms:
-        raise ValueError(f"expected {n_perms} permutation pairs, got {len(perms)}")
     m, n = ds.shape
+    if perms is not None:
+        if len(perms) != n_perms:
+            raise ValueError(f"expected {n_perms} permutation pairs, got {len(perms)}")
+        perms = [(np.asarray(rows), np.asarray(cols)) for rows, cols in perms]
+        for t, (rows, cols) in enumerate(perms):
+            for axis, arr, size in (("row", rows, m), ("column", cols, n)):
+                if (arr.dtype.kind not in "iu" or arr.shape != (size,)
+                        or not np.array_equal(np.sort(arr), np.arange(size))):
+                    raise ValueError(
+                        f"permutation pair {t}: the {axis} array is not a "
+                        f"permutation of range({size})"
+                    )
+    diagnostics = {
+        "method": "permutation-ensemble",
+        "base": imputer.method,
+        "n_perms": n_perms,
+    }
+    if perms is None and imputer.method in EQUIVARIANT_METHODS:
+        result = imputer.run(ds, seed.child("impute"))
+        return ImputationResult(result.completed, result.fitted_observed, diagnostics)
     completed_sum = np.zeros((m, n))
     fitted_sum = np.zeros((m, n))
     have_fitted = True
@@ -80,8 +104,7 @@ def permutation_ensemble(
             row_perm = rng.permutation(m)
             col_perm = rng.permutation(n)
         else:
-            row_perm = np.asarray(perms[t][0])
-            col_perm = np.asarray(perms[t][1])
+            row_perm, col_perm = perms[t]
         inv_rows = np.argsort(row_perm)
         inv_cols = np.argsort(col_perm)
         result = imputer.run(_permute_dataset(ds, row_perm, col_perm),
@@ -93,11 +116,6 @@ def permutation_ensemble(
             fitted_sum += result.fitted_observed.values[inv_rows][:, inv_cols]
     completed = completed_sum / n_perms
     fitted = fitted_sum / n_perms if have_fitted else None
-    diagnostics = {
-        "method": "permutation-ensemble",
-        "base": imputer.method,
-        "n_perms": n_perms,
-    }
     return ImputationResult(
         DataMatrix(np.where(ds.mask.observed, ds.observed, completed)),
         DataMatrix(fitted) if fitted is not None else None,

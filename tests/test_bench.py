@@ -268,6 +268,30 @@ def test_grid_is_deterministic_across_parallelism():
     assert c1 == c8
 
 
+def test_convergence_summary_per_method_and_pattern():
+    datasets = [_lfm_record("d0", 4), _lfm_record("d1", 5)]
+    methods = [make_imputer("col-mean"), make_imputer("soft-impute"),
+               make_imputer("ice", max_iter=1)]
+    kwargs = dict(patterns=["mcar", "panel"], n_seeds=2, seed=11)
+    r1 = run_benchmark(datasets, methods=methods, jobs=1, **kwargs)
+    r2 = run_benchmark(datasets, methods=methods, jobs=2, **kwargs)
+    summary = r1.aggregates["convergence"]
+    assert json.dumps(summary) == json.dumps(r2.aggregates["convergence"])
+    assert set(summary) == {"soft-impute", "ice"}  # col-mean reports no convergence
+    for method, by_pattern in summary.items():
+        assert set(by_pattern) == {"mcar", "panel"}
+        for pattern, entry in by_pattern.items():
+            runs = [c["diagnostics"] for c in r1.cells
+                    if c["method"] == method and c["pattern"] == pattern]
+            assert entry == {
+                "converged_frac": float(np.mean([d["converged"] for d in runs])),
+                "mean_iterations": float(np.mean([d["iterations"] for d in runs])),
+                "n_cells": 4,
+            }
+    assert all(e["converged_frac"] < 1 for e in summary["ice"].values())
+    assert all(e["mean_iterations"] == 1.0 for e in summary["ice"].values())
+
+
 def test_mcar_zero_rate_rejected_up_front():
     datasets = [_lfm_record("d0", 6)]
     methods = [make_imputer("col-mean"), make_imputer("knn")]

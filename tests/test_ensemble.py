@@ -11,7 +11,12 @@ from imputebench.ensemble import (
     blend,
     permutation_ensemble,
 )
-from imputebench.imputers import ImputationResult, Imputer, make_imputer
+from imputebench.imputers import (
+    EQUIVARIANT_METHODS,
+    ImputationResult,
+    Imputer,
+    make_imputer,
+)
 
 SEED = SeedSpec(61, "ensemble")
 
@@ -157,6 +162,92 @@ def test_permutation_count_validation():
         permutation_ensemble(
             make_imputer("col-mean"), ds, 2, SEED, perms=[(np.arange(5), np.arange(4))]
         )
+    good = (np.arange(5), np.arange(4))
+    for bad in [
+        (np.arange(4), np.arange(4)),  # wrong row length
+        (np.arange(5), np.arange(5)),  # wrong column length
+        (np.zeros(5, dtype=int), np.arange(4)),  # repeated row index
+        (np.arange(5), np.array([0, 1, 1, 3])),  # repeated column index
+        (np.array([0, 1, 2, 3, 5]), np.arange(4)),  # out-of-range row index
+        (np.arange(5), np.array([0, 1, 2, -1])),  # out-of-range column index
+    ]:
+        with pytest.raises(ValueError, match="permutation pair 1"):
+            permutation_ensemble(
+                make_imputer("col-mean"), ds, 2, SEED, perms=[good, bad]
+            )
+
+
+def _unpermute(values, row_perm, col_perm):
+    return values[np.argsort(row_perm)][:, np.argsort(col_perm)]
+
+
+@pytest.mark.parametrize("method", sorted(EQUIVARIANT_METHODS))
+def test_equivariant_methods_commute_with_permutations(method):
+    imputer = make_imputer(method)
+    rng = np.random.default_rng(40)
+    for case in range(24):
+        m, n = int(rng.integers(6, 30)), int(rng.integers(3, 12))
+        ds = _random_ds(m, n, float(rng.uniform(0.1, 0.5)), 100 + case)
+        row_perm, col_perm = rng.permutation(m), rng.permutation(n)
+        direct = imputer.run(ds, SEED)
+        shuffled = imputer.run(ens._permute_dataset(ds, row_perm, col_perm), SEED)
+        for got, want in [
+            (shuffled.completed, direct.completed),
+            (shuffled.fitted_observed, direct.fitted_observed),
+        ]:
+            back = _unpermute(got.values, row_perm, col_perm)
+            assert np.allclose(back, want.values, rtol=0, atol=1e-10), (method, case)
+
+
+def test_knn_breaks_distance_ties_by_row_order():
+    # Rows 1 and 2 agree everywhere row 0 is observed, so they tie as its
+    # nearest donor for column 2; k=1 takes whichever comes first.
+    truth = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 5.0], [0.0, 0.0, 7.0], [9.0, 9.0, 1.0]])
+    ind = np.ones((4, 3), dtype=np.uint8)
+    ind[0, 2] = 0
+    ds = apply_mask(DataMatrix(truth), Mask(ind))
+    knn = make_imputer("knn", k=1)
+    row_swap, cols = np.array([0, 2, 1, 3]), np.arange(3)
+    direct = knn.run(ds, SEED).completed.values
+    swapped = knn.run(ens._permute_dataset(ds, row_swap, cols), SEED).completed.values
+    assert direct[0, 2] == 5.0
+    assert _unpermute(swapped, row_swap, cols)[0, 2] == 7.0
+    assert "knn" not in EQUIVARIANT_METHODS
+
+
+def test_blend_runs_equivariant_base_once(monkeypatch):
+    counts: dict[str, int] = {}
+    real_run = Imputer.run
+
+    def counting_run(self, ds_, seed_):
+        counts[self.method] = counts.get(self.method, 0) + 1
+        return real_run(self, ds_, seed_)
+
+    monkeypatch.setattr(Imputer, "run", counting_run)
+    spec = EnsembleSpec()
+    out = blend(_random_ds(12, 6, 0.3, 32), spec, SEED)
+    assert counts == {"soft-impute": 1, "featurized-ridge": spec.n_perms}
+    assert out.diagnostics["n_perms"] == spec.n_perms
+
+
+def test_equivariant_shortcut_matches_explicit_average():
+    n_perms = 4
+    base = make_imputer("soft-impute")
+    for case in range(5):
+        ds = _random_ds(15, 8, 0.35, 50 + case)
+        seed = SeedSpec(case, "shortcut")
+        m, n = ds.shape
+        perms = []
+        for t in range(n_perms):
+            rng = seed.child(f"perm{t}").child("shuffle").rng()
+            perms.append((rng.permutation(m), rng.permutation(n)))
+        once = permutation_ensemble(base, ds, n_perms, seed)
+        averaged = permutation_ensemble(base, ds, n_perms, seed, perms=perms)
+        assert once.diagnostics == averaged.diagnostics
+        assert np.allclose(once.completed.values, averaged.completed.values,
+                           rtol=0, atol=1e-12)
+        assert np.allclose(once.fitted_observed.values, averaged.fitted_observed.values,
+                           rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
