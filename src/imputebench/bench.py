@@ -19,7 +19,7 @@ import json
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -151,6 +151,11 @@ def load_mask_csv(path: Union[str, Path]) -> Mask:
         rows = [[cell.strip() for cell in row] for row in csv.reader(fh) if row]
     if not rows:
         raise DatasetFormatError(f"{path}: mask file is empty")
+    for r, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise DatasetFormatError(
+                f"{path}: row {r} has {len(row)} cells, row 0 has {len(rows[0])}"
+            )
     try:
         arr = np.array([[int(c) for c in row] for row in rows])
     except ValueError:
@@ -554,20 +559,23 @@ def run_benchmark(
 def _proportion_trajectory(
     cells: Sequence[dict], patterns: Sequence[str], temperature: float
 ) -> list[dict]:
-    """Replay the proportion scheduler against the grid's per-pattern RMSE."""
+    """The proportion scheduler driven by the grid's per-pattern mean RMSE:
+    the uniform start (step 0) and the refreshes at steps 50 and 100. The
+    losses are constant, so one refresh gives both, and the steps between
+    refreshes leave the proportions as they are."""
     mean_rmse = {}
     for tag in patterns:
         vals = [c["rmse"] for c in cells if c["pattern"] == tag and c["rmse"] is not None]
         mean_rmse[tag] = float(np.mean(vals)) if vals else 0.0
-    state = uniform_state(patterns, period=50, temperature=temperature)
-    trajectory = [{"step": 0, "proportions": state.as_mapping()}]
-    for _ in range(2 * state.period):
-        state = scheduler_step(state, lambda tag: mean_rmse[tag])
-        if state.step_count % state.period == 0:
-            trajectory.append(
-                {"step": state.step_count, "proportions": state.as_mapping()}
-            )
-    return trajectory
+    start = uniform_state(patterns, period=50, temperature=temperature)
+    refreshed = scheduler_step(
+        replace(start, step_count=start.period - 1), lambda tag: mean_rmse[tag]
+    )
+    return [
+        {"step": 0, "proportions": start.as_mapping()},
+        {"step": refreshed.step_count, "proportions": refreshed.as_mapping()},
+        {"step": 2 * start.period, "proportions": refreshed.as_mapping()},
+    ]
 
 
 # ---------------------------------------------------------------------------

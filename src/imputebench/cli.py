@@ -16,8 +16,8 @@ import numpy as np
 from . import bench as bench_mod
 from .core import DataMatrix, Mask, MaskedDataset, SeedSpec
 from .datagen import LfmSpec, parse_distribution, sample_lfm
-from .imputers import METHOD_TAGS, make_imputer
-from .missingness import PATTERN_TAGS, PatternSpec, generate
+from .imputers import METHOD_DEFAULTS, METHOD_TAGS, make_imputer
+from .missingness import PATTERN_DEFAULTS, PATTERN_TAGS, PatternSpec, generate
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -140,17 +140,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_MASK_PARAM_KEYS = (
-    "p_missing", "predictor_fraction", "neighborhood_size_range", "layer_range",
-    "width_range", "target_cols", "q_censor", "q_thresh", "alpha", "eps",
-    "k_low", "k_high", "n_row_clusters", "n_col_clusters", "tau_r", "tau_c",
-    "eps_std", "f_cheap", "beta", "n_row_blocks", "n_col_blocks", "conv",
-    "algorithm", "epsilon", "epsilon_decay", "pooling", "reward_noise_scale",
-)
-
-_METHOD_PARAM_KEYS = (
-    "k", "lam", "max_iter", "tol", "ridge_lambda", "base_a", "base_b", "n_perms",
-)
+def _given(args, defaults: dict[str, dict]) -> dict:
+    """The parameters of the defaults table set on the command line; one
+    without a flag counts as not set."""
+    return {
+        key: getattr(args, key)
+        for params in defaults.values()
+        for key in params
+        if getattr(args, key, None) is not None
+    }
 
 
 def _cmd_gen(args) -> int:
@@ -170,11 +168,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_mask(args) -> int:
     record = bench_mod.load_csv(args.data)
-    overrides = {
-        key: getattr(args, key)
-        for key in _MASK_PARAM_KEYS
-        if getattr(args, key) is not None
-    }
+    overrides = _given(args, PATTERN_DEFAULTS)
     spec = PatternSpec(args.pattern, SeedSpec(args.seed, args.pattern), overrides)
     mask = generate(spec, record.matrix)
     bench_mod.save_mask_csv(mask, args.out)
@@ -220,12 +214,7 @@ def _cmd_impute(args) -> int:
     ds = MaskedDataset(
         mask=mask, observed=np.where(mask.observed, values, np.nan), truth=None
     )
-    overrides = {
-        key: getattr(args, key)
-        for key in _METHOD_PARAM_KEYS
-        if getattr(args, key) is not None
-    }
-    imputer = make_imputer(args.method, **overrides)
+    imputer = make_imputer(args.method, **_given(args, METHOD_DEFAULTS))
     result = imputer.run(ds, SeedSpec(args.seed, f"impute/{args.method}"))
     bench_mod.save_csv(result.completed.values, args.out, columns)
     diag_path = Path(args.diagnostics) if args.diagnostics else Path(str(args.out) + ".json")

@@ -96,7 +96,6 @@ def permutation_ensemble(
         return ImputationResult(result.completed, result.fitted_observed, diagnostics)
     completed_sum = np.zeros((m, n))
     fitted_sum = np.zeros((m, n))
-    have_fitted = True
     for t in range(n_perms):
         run_seed = seed.child(f"perm{t}")
         if perms is None:
@@ -110,15 +109,11 @@ def permutation_ensemble(
         result = imputer.run(_permute_dataset(ds, row_perm, col_perm),
                              run_seed.child("impute"))
         completed_sum += result.completed.values[inv_rows][:, inv_cols]
-        if result.fitted_observed is None:
-            have_fitted = False
-        else:
-            fitted_sum += result.fitted_observed.values[inv_rows][:, inv_cols]
+        fitted_sum += result.fitted_observed.values[inv_rows][:, inv_cols]
     completed = completed_sum / n_perms
-    fitted = fitted_sum / n_perms if have_fitted else None
     return ImputationResult(
         DataMatrix(np.where(ds.mask.observed, ds.observed, completed)),
-        DataMatrix(fitted) if fitted is not None else None,
+        DataMatrix(fitted_sum / n_perms),
         diagnostics,
     )
 
@@ -156,8 +151,6 @@ def blend(ds: MaskedDataset, spec: EnsembleSpec, seed: SeedSpec) -> ImputationRe
     base_b = make_imputer(spec.base_b)
     res_a = permutation_ensemble(base_a, ds, spec.n_perms, seed.child("base-a"))
     res_b = permutation_ensemble(base_b, ds, spec.n_perms, seed.child("base-b"))
-    if res_a.fitted_observed is None or res_b.fitted_observed is None:
-        raise ValueError("both base methods must predict the observed cells")
     obs = ds.mask.observed
     w = adaptive_weight(
         res_a.fitted_observed.values[obs],

@@ -37,20 +37,16 @@ class ImputationResult:
     """A completed matrix plus the method's view of the observed cells."""
 
     completed: DataMatrix
-    fitted_observed: Optional[DataMatrix]
+    fitted_observed: DataMatrix
     diagnostics: dict = field(default_factory=dict)
 
 
 def _finish(
-    ds: MaskedDataset,
-    filled: np.ndarray,
-    fitted: Optional[np.ndarray],
-    diagnostics: dict,
+    ds: MaskedDataset, filled: np.ndarray, fitted: np.ndarray, diagnostics: dict
 ) -> ImputationResult:
     """Overlay the observed entries and package the result."""
     completed = np.where(ds.mask.observed, ds.observed, filled)
-    fitted_dm = DataMatrix(fitted) if fitted is not None else None
-    return ImputationResult(DataMatrix(completed), fitted_dm, diagnostics)
+    return ImputationResult(DataMatrix(completed), DataMatrix(fitted), diagnostics)
 
 
 def _column_means(ds: MaskedDataset) -> np.ndarray:
@@ -132,19 +128,14 @@ def impute_knn(ds: MaskedDataset, k: int = 5) -> ImputationResult:
     pred = np.empty((m, n))
     for j in range(n):
         donors = np.flatnonzero(obs[:, j])
-        if donors.size == 0:
-            pred[:, j] = means[j]
-            continue
         sub = dist[:, donors]
-        order = np.argsort(sub, axis=1, kind="stable")
-        ranked = np.take_along_axis(sub, order, axis=1)
-        for i in range(m):
-            usable = order[i][np.isfinite(ranked[i])]
-            if usable.size == 0:
-                pred[i, j] = means[j]
-            else:
-                chosen = donors[usable[:k]]
-                pred[i, j] = ds.observed[chosen, j].mean()
+        # stable sort: distance ties go to the lower row; unreachable donors
+        # (infinite distance) sort last and are masked out of the k nearest
+        nearest = np.argsort(sub, axis=1, kind="stable")[:, :k]
+        usable = np.isfinite(np.take_along_axis(sub, nearest, axis=1))
+        count = usable.sum(axis=1)
+        total = np.where(usable, ds.observed[donors[nearest], j], 0.0).sum(axis=1)
+        pred[:, j] = np.where(count > 0, total / np.maximum(count, 1), means[j])
     return _finish(ds, pred, pred, {"method": "knn", "k": k})
 
 
@@ -354,29 +345,17 @@ class Imputer:
         if self.method == "col-mean":
             return impute_col_mean(ds)
         if self.method == "knn":
-            return impute_knn(ds, k=p["k"])
+            return impute_knn(ds, **p)
         if self.method == "soft-impute":
-            return impute_soft(ds, lam=p["lam"], max_iter=p["max_iter"], tol=p["tol"])
+            return impute_soft(ds, **p)
         if self.method == "ice":
-            return impute_ice(
-                ds,
-                max_iter=p["max_iter"],
-                tol=p["tol"],
-                ridge_lambda=p["ridge_lambda"],
-                seed=seed,
-            )
+            return impute_ice(ds, **p, seed=seed)
         if self.method == "featurized-ridge":
-            return impute_featurized_ridge(ds, ridge_lambda=p["ridge_lambda"])
+            return impute_featurized_ridge(ds, **p)
         # Lazy import: the ensembler builds on this registry.
         from .ensemble import EnsembleSpec, blend
 
-        spec = EnsembleSpec(
-            base_a=p["base_a"],
-            base_b=p["base_b"],
-            n_perms=p["n_perms"],
-            degenerate_tol=p["degenerate_tol"],
-        )
-        return blend(ds, spec, seed)
+        return blend(ds, EnsembleSpec(**p), seed)
 
 
 def make_imputer(method: str, name: str = "", **params) -> Imputer:

@@ -830,14 +830,8 @@ PATTERN_TAGS = tuple(PATTERN_DEFAULTS)
 
 def _dispatch(pattern: str, truth: DataMatrix, params: dict, seed: SeedSpec) -> Mask:
     if pattern == "seq":
-        cfg = BanditConfig(
-            algorithm=params["algorithm"],
-            epsilon=params["epsilon"],
-            epsilon_decay=params["epsilon_decay"],
-            pooling=params["pooling"],
-            reward_noise_scale=params["reward_noise_scale"],
-        )
-        return gen_seq(truth, cfg, params["p_missing"], seed=seed)
+        bandit = {k: v for k, v in params.items() if k != "p_missing"}
+        return gen_seq(truth, BanditConfig(**bandit), params["p_missing"], seed=seed)
     generators = {
         "mcar": gen_mcar,
         "col-mar": gen_col_mar,

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from imputebench import scheduler
 from imputebench.bench import (
     DatasetFormatError,
+    _proportion_trajectory,
     DatasetRecord,
     discover_datasets,
     emit_report,
@@ -21,6 +23,7 @@ from imputebench.bench import (
 from imputebench.core import DataMatrix, Mask, SeedSpec, apply_mask
 from imputebench.datagen import LfmSpec, sample_lfm
 from imputebench.imputers import ImputationResult, Imputer, make_imputer
+from imputebench.missingness import PATTERN_TAGS
 
 
 def _lfm_record(name, seed, m=30, n=8, k=2):
@@ -101,6 +104,13 @@ def test_mask_csv_round_trip(tmp_path):
     save_mask_csv(mask, p)
     back = load_mask_csv(p)
     assert np.array_equal(back.indicator, mask.indicator)
+
+
+def test_load_mask_csv_names_the_first_ragged_row(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("1,0,1\n1,0,1\n1,1\n")
+    with pytest.raises(DatasetFormatError, match="row 2 has 2 cells, row 0 has 3"):
+        load_mask_csv(p)
 
 
 def test_discover_datasets_directory_and_manifest(tmp_path):
@@ -351,6 +361,38 @@ def test_adaptive_proportions_trajectory():
     assert np.allclose(list(traj[0]["proportions"].values()), 0.5)
     for entry in traj:
         assert abs(sum(entry["proportions"].values()) - 1.0) < 1e-9
+
+
+def _replayed_trajectory(cells, patterns, temperature):
+    """Reference: 100 scheduler steps against the constant per-pattern mean
+    RMSE, recording every refresh."""
+    mean_rmse = {}
+    for tag in patterns:
+        vals = [c["rmse"] for c in cells if c["pattern"] == tag and c["rmse"] is not None]
+        mean_rmse[tag] = float(np.mean(vals)) if vals else 0.0
+    state = scheduler.uniform_state(patterns, period=50, temperature=temperature)
+    out = [{"step": 0, "proportions": state.as_mapping()}]
+    for _ in range(100):
+        state = scheduler.step(state, lambda tag: mean_rmse[tag])
+        if state.step_count % state.period == 0:
+            out.append({"step": state.step_count, "proportions": state.as_mapping()})
+    return out
+
+
+def test_trajectory_equals_a_full_scheduler_replay():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        patterns = list(rng.choice(PATTERN_TAGS, size=rng.integers(1, 14), replace=False))
+        cells = [
+            {"pattern": tag, "rmse": None if rng.random() < 0.2 else float(rng.exponential(2))}
+            for tag in patterns
+            for _ in range(rng.integers(0, 4))  # a pattern may have no scored cell
+        ]
+        temperature = float(10 ** rng.uniform(-2, 1))
+        got = _proportion_trajectory(cells, patterns, temperature)
+        assert json.dumps(got) == json.dumps(
+            _replayed_trajectory(cells, patterns, temperature)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from imputebench.bench import load_csv, load_mask_csv, read_data_csv, save_csv
-from imputebench.cli import main
+from imputebench.cli import build_parser, main
+from imputebench.imputers import METHOD_DEFAULTS
+from imputebench.missingness import PATTERN_DEFAULTS
 
 
 def _gen_dataset(tmp_path, name="data.csv", rows=20, cols=6, rank=2, seed=5):
@@ -120,6 +123,41 @@ def test_impute_mask_data_consistency_check(tmp_path, capsys):
                  "--method", "col-mean", "--out", str(tmp_path / "o.csv")])
     assert code == 2
     assert "observed" in capsys.readouterr().err
+
+
+def test_impute_ragged_mask_exits_two_naming_the_row(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,c\n1,2,3\n4,5,6\n")
+    mask = tmp_path / "m.csv"
+    mask.write_text("1,0,1\n1,1\n")
+    code = main([
+        "impute", "--data", str(data), "--mask", str(mask),
+        "--method", "col-mean", "--out", str(tmp_path / "out.csv"),
+    ])
+    assert code == 2
+    assert "row 1 has 2 cells, row 0 has 3" in capsys.readouterr().err
+
+
+def _subcommand(name):
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return subs.choices[name]
+
+
+def test_mask_flags_are_exactly_the_pattern_parameters():
+    group = next(g for g in _subcommand("mask")._action_groups
+                 if g.title.startswith("pattern hyperparameters"))
+    dests = [a.dest for a in group._group_actions]
+    assert len(dests) == len(set(dests))
+    assert set(dests) == {key for params in PATTERN_DEFAULTS.values() for key in params}
+
+
+def test_impute_flags_are_method_parameters():
+    fixed = {"help", "data", "mask", "method", "out", "diagnostics", "seed"}
+    flags = {a.dest for a in _subcommand("impute")._actions} - fixed
+    keys = {key for params in METHOD_DEFAULTS.values() for key in params}
+    assert flags <= keys
+    assert keys - flags == {"degenerate_tol"}  # the one parameter without a flag
 
 
 def test_impute_ensemble_method(tmp_path):

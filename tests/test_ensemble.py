@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from imputebench.ensemble import (
 )
 from imputebench.imputers import (
     EQUIVARIANT_METHODS,
+    METHOD_DEFAULTS,
     ImputationResult,
     Imputer,
     make_imputer,
@@ -327,3 +330,7 @@ def test_ensemble_registry_method_runs():
     obs = ds.mask.observed
     assert np.array_equal(res.completed.values[obs], ds.observed[obs])
     assert "weight" in res.diagnostics
+
+
+def test_registry_defaults_are_the_spec_defaults():
+    assert METHOD_DEFAULTS["ensemble"] == dataclasses.asdict(EnsembleSpec())

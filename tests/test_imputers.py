@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imputebench.core import DataMatrix, Mask, SeedSpec, apply_mask
+from imputebench.datagen import LfmSpec, sample_lfm
 from imputebench.imputers import (
     METHOD_TAGS,
+    _column_means,
+    _row_distances,
     impute_col_mean,
     impute_ice,
     impute_knn,
@@ -13,6 +18,7 @@ from imputebench.imputers import (
     impute_featurized_ridge,
     make_imputer,
 )
+from imputebench.missingness import PATTERN_TAGS, PatternSpec, generate
 
 SEED = SeedSpec(31, "imputers")
 
@@ -120,6 +126,107 @@ def test_knn_matches_brute_force_oracle():
             got = (res.completed.values[i, j] if not obs[i, j]
                    else res.fitted_observed.values[i, j])
             assert got == pytest.approx(expected, abs=1e-10), (i, j)
+
+
+def _knn_cell_loop(ds, k):
+    """Per-cell reference: for every cell, the mean of the first k donors
+    with a finite distance, in stable distance order, else the column mean."""
+    m, n = ds.shape
+    k = min(k, max(m - 1, 1))
+    dist = _row_distances(ds)
+    means = _column_means(ds)
+    obs = ds.mask.observed
+    pred = np.empty((m, n))
+    for j in range(n):
+        donors = np.flatnonzero(obs[:, j])
+        if donors.size == 0:
+            pred[:, j] = means[j]
+            continue
+        sub = dist[:, donors]
+        order = np.argsort(sub, axis=1, kind="stable")
+        ranked = np.take_along_axis(sub, order, axis=1)
+        for i in range(m):
+            usable = order[i][np.isfinite(ranked[i])]
+            if usable.size == 0:
+                pred[i, j] = means[j]
+            else:
+                pred[i, j] = ds.observed[donors[usable[:k]], j].mean()
+    return pred
+
+
+def _assert_knn_matches_cell_loop(ds, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # k clamped on short inputs
+        res = impute_knn(ds, k=k)
+    expected = _knn_cell_loop(ds, k)
+    assert res.fitted_observed.values.tobytes() == expected.tobytes()
+    completed = np.where(ds.mask.observed, ds.observed, expected)
+    assert res.completed.values.tobytes() == completed.tobytes()
+
+
+def test_knn_matches_cell_loop_on_edge_cases():
+    # distance tie: rows 1 and 2 are both at distance 0 from row 0
+    tie = _masked([[0.0, 1.0], [0.0, 5.0], [0.0, 7.0]], [[1, 0], [1, 1], [1, 1]])
+    for k in (1, 2):
+        _assert_knn_matches_cell_loop(tie, k)
+    assert impute_knn(tie, k=1).completed.values[0, 1] == 5.0
+    # a wide tie: 40 donors at distance 0, too many for an insertion sort
+    wide = np.column_stack([np.zeros(41), np.arange(41.0)])
+    wide_ind = np.ones((41, 2), dtype=np.uint8)
+    wide_ind[0, 1] = 0
+    for k in (1, 3):
+        _assert_knn_matches_cell_loop(_masked(wide, wide_ind), k)
+
+    rng = np.random.default_rng(45)
+    ind = np.array([
+        [1, 0, 0, 0, 0],  # reaches column 1 and 2 donors only through row 3 / row 4
+        [0, 1, 1, 0, 0],
+        [0, 1, 1, 0, 0],
+        [1, 1, 0, 0, 0],
+        [1, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1],  # shares no observed column with any other row
+    ], dtype=np.uint8)  # column 3 has no donor
+    ds = _masked(rng.normal(size=ind.shape), ind)
+    dist = _row_distances(ds)
+    assert np.isinf(dist[5]).all()
+    assert np.isfinite(dist[0, [1, 2, 3]]).sum() == 1  # fewer finite donors than k
+    for k in (1, 2, 3, 5):
+        _assert_knn_matches_cell_loop(ds, k)
+    res = impute_knn(ds, k=3)
+    means = _column_means(ds)
+    assert np.array_equal(res.completed.values[5, :4], means[:4])
+    assert np.all(res.completed.values[:, 3] == means[3])
+
+    # k clamped to the 2 candidate rows of a 3-row input
+    short = _random_ds(3, 4, 0.3, 46)
+    with pytest.warns(UserWarning, match="clamping"):
+        impute_knn(short, k=5)
+    _assert_knn_matches_cell_loop(short, 5)
+
+
+@pytest.mark.parametrize("pattern", PATTERN_TAGS)
+def test_knn_matches_cell_loop_on_every_pattern(pattern):
+    for seed in (0, 1):
+        truth = sample_lfm(LfmSpec(m=30, n=12, k=2), SeedSpec(seed, "knn-loop"))
+        mask = generate(PatternSpec(pattern, SeedSpec(seed, pattern)), truth)
+        ds = apply_mask(truth, mask)
+        for k in (1, 3, 5, 7):
+            _assert_knn_matches_cell_loop(ds, k)
+
+
+def test_knn_matches_cell_loop_on_sparse_masks():
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        ds = _random_ds(int(rng.integers(3, 25)), int(rng.integers(1, 8)),
+                        rng.uniform(0.2, 0.9), 1000 + seed)
+        for k in (1, 3, 5):
+            _assert_knn_matches_cell_loop(ds, k)
+        # from k = 8 on, numpy sums the k nearest in another order than the
+        # per-cell mean does, so the two agree to rounding only
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = impute_knn(ds, k=10).fitted_observed.values
+        assert np.allclose(got, _knn_cell_loop(ds, 10), rtol=0, atol=1e-14)
 
 
 def test_knn_rejects_bad_k():
