@@ -189,7 +189,7 @@ def discover_datasets(path: Union[str, Path]) -> list[DatasetRecord]:
         return [load_csv(f) for f in files]
     if path.suffix == ".json":
         doc = json.loads(path.read_text())
-        entries = doc.get("datasets")
+        entries = doc.get("datasets") if isinstance(doc, dict) else None
         if not isinstance(entries, list) or not entries:
             raise DatasetFormatError(f"{path}: manifest needs a 'datasets' list")
         records = []

@@ -228,25 +228,26 @@ def impute_ice(
     m, n = ds.shape
     obs = ds.mask.observed
     z = _mean_fill(ds)
-    incomplete = [j for j in range(n) if not obs[:, j].all() and obs[:, j].any()]
+    # Per column: the predictor columns, the observed (train) and missing
+    # (test) rows and the observed targets. Sweeps only rewrite test rows.
+    predictors = [np.delete(np.arange(n), j) for j in range(n)]
+    train = [np.flatnonzero(obs[:, j]) for j in range(n)]
+    test = [np.flatnonzero(~obs[:, j]) for j in range(n)]
+    targets = [ds.observed[train[j], j] for j in range(n)]
+    incomplete = [j for j in range(n) if train[j].size and test[j].size]
     order = seed.rng().permutation(incomplete) if incomplete else []
-    others = {
-        j: np.array([c for c in range(n) if c != j], dtype=np.intp)
-        for j in range(n)
-    }
 
     iterations = 0
     converged = n == 1 or not incomplete
     for iterations in range(1, max_iter + 1):
         max_change = 0.0
         for j in order:
-            train = obs[:, j]
             model = _centered_ridge(
-                z[np.ix_(train, others[j])], ds.observed[train, j], ridge_lambda
+                z[np.ix_(train[j], predictors[j])], targets[j], ridge_lambda
             )
-            new_vals = model(z[np.ix_(~train, others[j])])
-            max_change = max(max_change, float(np.abs(new_vals - z[~train, j]).max()))
-            z[~train, j] = new_vals
+            new_vals = model(z[np.ix_(test[j], predictors[j])])
+            max_change = max(max_change, float(np.abs(new_vals - z[test[j], j]).max()))
+            z[test[j], j] = new_vals
         if max_change < tol:
             converged = True
             break
@@ -255,14 +256,13 @@ def impute_ice(
 
     fitted = np.array(z)
     for j in range(n):
-        train = obs[:, j]
-        if not train.any():
+        if not train[j].size:
             fitted[:, j] = 0.0
             continue
         model = _centered_ridge(
-            z[np.ix_(train, others[j])], ds.observed[train, j], ridge_lambda
+            z[np.ix_(train[j], predictors[j])], targets[j], ridge_lambda
         )
-        fitted[:, j] = model(z[:, others[j]])
+        fitted[:, j] = model(z[:, predictors[j]])
     diagnostics = {
         "method": "ice",
         "iterations": iterations,

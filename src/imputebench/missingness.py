@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .core import DataMatrix, DegenerateMaskError, Mask, SeedSpec
 
@@ -49,6 +48,16 @@ class CalibrationError(RuntimeError):
     """The target mean propensity is unreachable within the intercept bracket."""
 
 
+def _sigmoid(x):
+    """Logistic sigmoid 1 / (1 + exp(-x)), the formula of scipy's ``expit``.
+
+    A logit below about -709 overflows ``exp`` and maps to 0 without a
+    warning, as in scipy; self-masking feeds raw values, so this happens.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def calibrate_intercept(
     logits: np.ndarray,
     target_mean: float,
@@ -66,7 +75,7 @@ def calibrate_intercept(
     lo, hi = bracket
 
     def mean_at(b: float) -> float:
-        return float(expit(logits + b).mean())
+        return float(_sigmoid(logits + b).mean())
 
     if mean_at(lo) > target_mean + tol or mean_at(hi) < target_mean - tol:
         raise CalibrationError(
@@ -147,7 +156,7 @@ def _col_mar_design(values: np.ndarray, p_missing: float, predictor_fraction: fl
         b = calibrate_intercept(score, p_missing)
         weights.append(w)
         intercepts.append(b)
-        p_miss[:, idx] = expit(score + b)
+        p_miss[:, idx] = _sigmoid(score + b)
     return predictors, masked_cols, weights, intercepts, p_miss
 
 
@@ -218,24 +227,23 @@ def _nn_mnar_design(values: np.ndarray, p_missing: float,
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         layers.append((rng.normal(size=(d_in, d_out)), rng.normal(size=d_out)))
 
-    # Candidate c < n is cell (i, c) in the row; c >= n is a cell in the
-    # column, skipping row i so (i, j) is listed once.
-    neighborhoods = np.empty((m * n, size, 2), dtype=np.intp)
-    for i in range(m):
-        for j in range(n):
-            chosen = rng.choice(m + n - 1, size=size, replace=False)
-            cell = i * n + j
-            for t, c in enumerate(chosen):
-                if c < n:
-                    neighborhoods[cell, t] = (i, c)
-                else:
-                    r = c - n
-                    neighborhoods[cell, t] = (r if r < i else r + 1, j)
+    # One draw per cell (i, j) in row-major order. Candidate c < n is cell
+    # (i, c) in the row; c >= n is a cell in the column, skipping row i so
+    # (i, j) is listed once.
+    chosen = np.stack(
+        [rng.choice(m + n - 1, size=size, replace=False) for _ in range(m * n)]
+    )
+    i, j = np.divmod(np.arange(m * n)[:, None], n)
+    r = chosen - n
+    in_row = chosen < n
+    neighborhoods = np.stack(
+        [np.where(in_row, i, r + (r >= i)), np.where(in_row, chosen, j)], axis=-1
+    )
 
     inputs = values[neighborhoods[:, :, 0], neighborhoods[:, :, 1]]
     logits = _nn_forward(inputs, layers)
     shift = calibrate_intercept(logits, 1.0 - p_missing)
-    p_obs = expit(logits + shift).reshape(m, n)
+    p_obs = _sigmoid(logits + shift).reshape(m, n)
     return p_obs, neighborhoods, layers
 
 
@@ -284,7 +292,7 @@ def _self_masking_design(values: np.ndarray, p_missing: float,
     for idx, j in enumerate(target_cols):
         logits = alphas[idx] * values[:, j]
         intercepts[idx] = calibrate_intercept(logits, p_missing)
-        p_miss[:, idx] = expit(logits + intercepts[idx])
+        p_miss[:, idx] = _sigmoid(logits + intercepts[idx])
     return alphas, intercepts, p_miss
 
 
@@ -452,7 +460,7 @@ def _latent_factor_design(shape: tuple[int, int], k_low: int, k_high: int,
     v = rng.normal(size=(n, k))
     b = rng.normal(size=m)
     c = rng.normal(size=n)
-    p_obs = expit(u @ v.T + b[:, None] + c[None, :])
+    p_obs = _sigmoid(u @ v.T + b[:, None] + c[None, :])
     return k, p_obs
 
 
@@ -481,7 +489,7 @@ def _cluster_design(shape: tuple[int, int], n_row_clusters: int, n_col_clusters:
     row_effect = rng.normal(0.0, tau_r, size=n_row_clusters)
     col_effect = rng.normal(0.0, tau_c, size=n_col_clusters)
     noise = rng.normal(0.0, eps_std, size=(m, n)) if eps_std > 0 else np.zeros((m, n))
-    p_obs = expit(row_effect[row_assign][:, None] + col_effect[col_assign][None, :] + noise)
+    p_obs = _sigmoid(row_effect[row_assign][:, None] + col_effect[col_assign][None, :] + noise)
     return row_assign, col_assign, p_obs
 
 
@@ -525,7 +533,7 @@ def _two_phase_design(values: np.ndarray, f_cheap: float, alpha: float, beta: fl
     expensive = np.setdiff1d(np.arange(n), cheap)
     w = rng.normal(size=n_cheap)
     score = _zscore(values[:, cheap] @ w)
-    p_keep = expit(alpha + beta * score)
+    p_keep = _sigmoid(alpha + beta * score)
     return cheap, expensive, p_keep
 
 
@@ -569,7 +577,7 @@ def _block_design(values: np.ndarray, p_missing: float, n_row_blocks: int,
     scores = _zscore(scores.ravel()).reshape(scores.shape)
     cell_logits = scores[row_ids[:, None], col_ids[None, :]]
     b = calibrate_intercept(cell_logits, p_missing)
-    p_miss = expit(scores + b)
+    p_miss = _sigmoid(scores + b)
     return row_ids, col_ids, p_miss
 
 

@@ -286,6 +286,19 @@ def test_malformed_manifest_and_report_exit_two_naming_the_file(tmp_path, capsys
         assert str(report) in capsys.readouterr().err
 
 
+def test_manifest_that_is_not_an_object_exits_two_naming_the_file(tmp_path, capsys):
+    data_dir = tmp_path / "datasets"
+    data_dir.mkdir()
+    _gen_dataset(data_dir, name="d.csv")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"path": "datasets/d.csv"}]))
+    assert main([
+        "bench", "--datasets", str(manifest), "--patterns", "mcar",
+        "--methods", "col-mean,knn", "--out", str(tmp_path / "o"),
+    ]) == 2
+    assert str(manifest) in capsys.readouterr().err
+
+
 def test_internal_key_error_is_not_a_configuration_error(tmp_path, monkeypatch):
     import imputebench.cli as cli
 
@@ -295,3 +308,40 @@ def test_internal_key_error_is_not_a_configuration_error(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "report", broken)
     with pytest.raises(KeyError, match="internal"):
         main(["report", "--report", str(tmp_path / "report.json")])
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # the runtime needs numpy only: a child interpreter where importing
+    # scipy fails still generates data, draws every mask and runs a grid
+    import pathlib
+    import subprocess
+    import sys
+
+    import imputebench
+
+    package_root = str(pathlib.Path(imputebench.__file__).resolve().parents[1])
+    snippet = """
+import sys
+sys.modules["scipy"] = None
+from imputebench.cli import main
+from imputebench.missingness import PATTERN_TAGS
+out = sys.argv[1]
+assert main(["gen", "--rows", "30", "--cols", "12", "--rank", "2", "--seed", "4",
+             "--out", out + "/data/d.csv"]) == 0
+for tag in PATTERN_TAGS:
+    assert main(["mask", "--data", out + "/data/d.csv", "--pattern", tag,
+                 "--seed", "5", "--out", out + "/" + tag + ".csv"]) == 0, tag
+assert main(["bench", "--datasets", out + "/data", "--patterns", "mcar,self-masking",
+             "--methods", "col-mean,ice", "--seeds", "1", "--out", out + "/run"]) == 0
+assert not [name for name, mod in sys.modules.items()
+            if name.split(".")[0] == "scipy" and mod is not None]
+print("ok")
+"""
+    (tmp_path / "data").mkdir()
+    run = subprocess.run(
+        [sys.executable, "-c", snippet, str(tmp_path)],
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split()[-1] == "ok"

@@ -9,7 +9,9 @@ from imputebench.core import DataMatrix, Mask, SeedSpec, apply_mask
 from imputebench.datagen import LfmSpec, sample_lfm
 from imputebench.imputers import (
     METHOD_TAGS,
+    _centered_ridge,
     _column_means,
+    _mean_fill,
     _row_distances,
     impute_col_mean,
     impute_ice,
@@ -354,6 +356,71 @@ def test_ice_converges_and_reports():
     res = impute_ice(ds, seed=SEED)
     assert res.diagnostics["converged"]
     assert res.fitted_observed is not None
+
+
+def _ice_boolean_masks(ds, max_iter, tol, ridge_lambda, seed):
+    """Reference ICE that rebuilds each column's boolean row masks and
+    predictor list on every sweep. Returns (filled, fitted, iterations,
+    converged)."""
+    m, n = ds.shape
+    obs = ds.mask.observed
+    z = _mean_fill(ds)
+    incomplete = [j for j in range(n) if not obs[:, j].all() and obs[:, j].any()]
+    order = seed.rng().permutation(incomplete) if incomplete else []
+    others = {j: np.array([c for c in range(n) if c != j], dtype=np.intp) for j in range(n)}
+    iterations = 0
+    converged = n == 1 or not incomplete
+    for iterations in range(1, max_iter + 1):
+        max_change = 0.0
+        for j in order:
+            train = obs[:, j]
+            model = _centered_ridge(z[np.ix_(train, others[j])], ds.observed[train, j],
+                                    ridge_lambda)
+            new_vals = model(z[np.ix_(~train, others[j])])
+            max_change = max(max_change, float(np.abs(new_vals - z[~train, j]).max()))
+            z[~train, j] = new_vals
+        if max_change < tol:
+            converged = True
+            break
+    if not incomplete:
+        iterations = 0
+    fitted = np.array(z)
+    for j in range(n):
+        train = obs[:, j]
+        if not train.any():
+            fitted[:, j] = 0.0
+            continue
+        model = _centered_ridge(z[np.ix_(train, others[j])], ds.observed[train, j],
+                                ridge_lambda)
+        fitted[:, j] = model(z[:, others[j]])
+    return z, fitted, iterations, converged
+
+
+def _assert_ice_matches_boolean_masks(ds, seed, **params):
+    params = {"max_iter": 200, "tol": 1e-5, "ridge_lambda": 1e-3, **params}
+    res = impute_ice(ds, seed=seed, **params)
+    z, fitted, iterations, converged = _ice_boolean_masks(ds, seed=seed, **params)
+    completed = np.where(ds.mask.observed, ds.observed, z)
+    assert res.completed.values.tobytes() == completed.tobytes()
+    assert res.fitted_observed.values.tobytes() == fitted.tobytes()
+    assert res.diagnostics["iterations"] == iterations
+    assert res.diagnostics["converged"] == converged
+
+
+def test_ice_matches_boolean_mask_reference():
+    for m, n, p in ((25, 6, 0.3), (40, 12, 0.5), (60, 3, 0.2), (9, 9, 0.7)):
+        _assert_ice_matches_boolean_masks(_random_ds(m, n, p, 60 + m, rank=2), SEED)
+    # short sweep budgets stop before convergence
+    _assert_ice_matches_boolean_masks(_random_ds(30, 8, 0.4, 61), SEED, max_iter=2)
+    for case in range(100):
+        rng = np.random.default_rng(700 + case)
+        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 7))
+        ind = (rng.random((m, n)) >= rng.uniform(0.0, 0.9)).astype(np.uint8)
+        ind[:, rng.integers(n)] = 0  # an all-missing column
+        ind[:, rng.integers(n)] = 1  # a fully observed column
+        ds = _masked(rng.normal(size=(m, n)), ind)
+        _assert_ice_matches_boolean_masks(ds, SeedSpec(case, "ice-ref"),
+                                          ridge_lambda=float(rng.choice([1e-3, 1.0])))
 
 
 # ---------------------------------------------------------------------------

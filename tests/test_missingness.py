@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,28 @@ def _sorted_quantile(values, q):
     hi = min(lo + 1, len(s) - 1)
     frac = pos - lo
     return s[lo] * (1 - frac) + s[hi] * frac
+
+
+# ---------------------------------------------------------------------------
+# sigmoid
+# ---------------------------------------------------------------------------
+
+
+def test_sigmoid_matches_scipy_expit_without_warnings():
+    # same formula as scipy; numpy's exp and libm's differ in the last bit
+    # on a few inputs, which 1 / (1 + exp) turns into at most eps absolute
+    # and 4 units in the last place of the result
+    rng = np.random.default_rng(17)
+    specials = np.array([-np.inf, np.inf, -800.0, 800.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning fails the test
+        for x in [specials] + [rng.normal(scale=s, size=20_000)
+                               for s in (0.1, 1.0, 5.0, 40.0, 400.0)]:
+            got, ref = mg._sigmoid(x), expit(x)
+            bound = np.minimum(np.finfo(float).eps, 4 * np.spacing(ref))
+            close = np.abs(got - ref) <= bound
+            assert close.all(), x[~close][:5]
+        assert mg._sigmoid(specials).tolist() == [0.0, 1.0, 0.0, 1.0, 0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +209,51 @@ def test_nn_mnar_generates_with_defaults():
     X = _random_matrix(12, 6, 1)
     mask = mg.gen_nn_mnar(X, seed=SeedSpec(8, "nn-gen"))
     assert mask.shape == (12, 6)
+
+
+def _nn_mnar_design_cell_loop(values, p_missing, neighborhood_size_range,
+                              layer_range, width_range, rng):
+    """Per-cell reference: one ``rng.choice`` per cell, each candidate
+    mapped to its (row, column) cell in a Python loop."""
+    m, n = values.shape
+    size = int(rng.integers(neighborhood_size_range[0], neighborhood_size_range[1] + 1))
+    size = max(1, min(size, m + n - 1))
+    n_hidden = int(rng.integers(layer_range[0], layer_range[1] + 1))
+    width = int(rng.integers(width_range[0], width_range[1] + 1))
+    dims = [size] + [width] * n_hidden + [1]
+    layers = [(rng.normal(size=(d_in, d_out)), rng.normal(size=d_out))
+              for d_in, d_out in zip(dims[:-1], dims[1:])]
+    neighborhoods = np.empty((m * n, size, 2), dtype=np.intp)
+    for i in range(m):
+        for j in range(n):
+            chosen = rng.choice(m + n - 1, size=size, replace=False)
+            for t, c in enumerate(chosen):
+                if c < n:
+                    neighborhoods[i * n + j, t] = (i, c)
+                else:
+                    r = c - n
+                    neighborhoods[i * n + j, t] = (r if r < i else r + 1, j)
+    logits = mg._nn_forward(values[neighborhoods[:, :, 0], neighborhoods[:, :, 1]], layers)
+    shift = mg.calibrate_intercept(logits, 1.0 - p_missing)
+    return mg._sigmoid(logits + shift).reshape(m, n), neighborhoods, layers
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (7, 1), (5, 4), (30, 12), (60, 40)])
+def test_nn_mnar_design_matches_cell_loop(shape):
+    X = _random_matrix(*shape, 11)
+    for seed in (0, 1, 2):
+        for sizes in ((1, 2), (3, 8), (20, 30)):
+            rng_new, rng_old = (SeedSpec(seed, "nn-loop").rng() for _ in range(2))
+            p_new, hoods_new, layers_new = mg._nn_mnar_design(
+                X.values, 0.4, sizes, (1, 3), (4, 16), rng_new)
+            p_old, hoods_old, layers_old = _nn_mnar_design_cell_loop(
+                X.values, 0.4, sizes, (1, 3), (4, 16), rng_old)
+            assert hoods_new.dtype == np.intp and hoods_new.shape == hoods_old.shape
+            assert np.array_equal(hoods_new, hoods_old)
+            assert np.array_equal(p_new, p_old)
+            for (w_new, b_new), (w_old, b_old) in zip(layers_new, layers_old):
+                assert np.array_equal(w_new, w_old) and np.array_equal(b_new, b_old)
+            assert rng_new.random() == rng_old.random()  # same stream position
 
 
 # ---------------------------------------------------------------------------
