@@ -91,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     hp.add_argument("--beta", type=float, dest="beta")
     hp.add_argument("--n-row-blocks", type=int, dest="n_row_blocks")
     hp.add_argument("--n-col-blocks", type=int, dest="n_col_blocks")
-    hp.add_argument("--conv", dest="conv")
     hp.add_argument("--algorithm", dest="algorithm")
     hp.add_argument("--epsilon", type=float, dest="epsilon")
     hp.add_argument("--epsilon-decay", type=float, dest="epsilon_decay")

@@ -6,12 +6,14 @@ cells form the training split and missing cells the test split, which turns
 imputation into plain supervised regression. A closed-form ridge consumer is
 provided as the desk-scale regressor for this table. Every column of its
 numeric design depends on the row alone or on the column alone, so it fits
-from an m-row and an n-row block and never materializes the per-cell design.
+from an m-row and an n-row block of the masked matrix and never materializes
+the table or the per-cell design.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,48 +36,52 @@ class FeatureTable:
     """Per-cell regression view of a masked matrix.
 
     Rows are in row-major cell order: the row for cell (i, j) is i*n + j.
+    The view holds only the masked matrix and its observed indicator; the
+    (m*n) x (m+n+2) ``features`` array is built on first read and kept.
     ``features`` keeps the missing sentinel (NaN) wherever the row or column
     context is unobserved; ``targets`` holds the cell's own value, NaN when
     the cell itself is missing.
     """
 
-    features: np.ndarray
-    targets: np.ndarray
-    cell_index: np.ndarray
-    train_rows: np.ndarray
-    test_rows: np.ndarray
-    shape: tuple[int, int]
+    observed: np.ndarray
+    indicator: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.observed.shape
 
     @property
     def width(self) -> int:
-        return self.features.shape[1]
+        return sum(self.shape) + 2
+
+    @property
+    def targets(self) -> np.ndarray:
+        return self.observed.ravel()
+
+    @property
+    def train_rows(self) -> np.ndarray:
+        return np.flatnonzero(self.indicator)
+
+    @property
+    def test_rows(self) -> np.ndarray:
+        return np.flatnonzero(~self.indicator)
+
+    @property
+    def cell_index(self) -> np.ndarray:
+        return np.indices(self.shape).reshape(2, -1).T
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        m, n = self.shape
+        rows = np.repeat(self.observed, n, axis=0)  # row context X[i, :]
+        cols = np.tile(self.observed.T, (m, 1))     # column context X[:, j]
+        return np.concatenate([self.cell_index.astype(float), rows, cols], axis=1)
 
 
 def build_features(ds: MaskedDataset) -> FeatureTable:
-    """Expand a masked matrix into its (m*n) x (m+n+2) feature table."""
-    m, n = ds.shape
-    x = ds.observed
-    rows_i = np.repeat(np.arange(m), n)
-    cols_j = np.tile(np.arange(n), m)
-    features = np.concatenate(
-        [
-            rows_i[:, None].astype(float),
-            cols_j[:, None].astype(float),
-            np.repeat(x, n, axis=0),          # row context X[i, :]
-            np.tile(x.T, (m, 1)),             # column context X[:, j]
-        ],
-        axis=1,
-    )
-    targets = x[rows_i, cols_j]
-    observed_flat = ds.mask.observed[rows_i, cols_j]
-    return FeatureTable(
-        features=features,
-        targets=targets,
-        cell_index=np.column_stack([rows_i, cols_j]),
-        train_rows=np.flatnonzero(observed_flat),
-        test_rows=np.flatnonzero(~observed_flat),
-        shape=(m, n),
-    )
+    """The (m*n) x (m+n+2) feature table of a masked matrix, as a view that
+    allocates O(m*n) until ``features`` is read."""
+    return FeatureTable(observed=ds.observed, indicator=ds.mask.observed)
 
 
 def _side_block(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -108,15 +114,13 @@ def _ridge_fit_predict(
     """
     if ridge_lambda < 0:
         raise ValueError(f"ridge penalty must be >= 0, got {ridge_lambda}")
-    if ft.train_rows.size == 0:
+    if not ft.indicator.any():
         raise ValueError("no training rows: the dataset has no observed entry")
-    m, n = ft.shape
-    x = ft.targets.reshape(m, n)
-    train = np.bincount(ft.train_rows, minlength=m * n).reshape(m, n)
+    x, train = ft.observed, ft.indicator
     row_w, col_w = train.sum(axis=1), train.sum(axis=0)
     rows, cols = _side_block(x, row_w), _side_block(x.T, col_w)
-    y_mean = ft.targets[ft.train_rows].mean()
-    y_c = np.where(train > 0, x - y_mean, 0.0)
+    y_mean = x[train].mean()
+    y_c = np.where(train, x - y_mean, 0.0)
 
     cross = rows.T @ train @ cols
     gram = np.block([
@@ -133,8 +137,8 @@ def _ridge_fit_predict(
             "larger ridge_lambda"
         ) from exc
     split = rows.shape[1]
-    pred = np.add.outer(rows @ beta[:split], cols @ beta[split:]).ravel() + y_mean
-    return pred[ft.test_rows], pred[ft.train_rows]
+    pred = np.add.outer(rows @ beta[:split], cols @ beta[split:]) + y_mean
+    return pred[~train], pred[train]
 
 
 def ridge_on_features(ft: FeatureTable, ridge_lambda: float) -> np.ndarray:

@@ -283,9 +283,9 @@ def impute_featurized_ridge(
     """Run closed-form ridge on the entry-wise feature table."""
     ft = build_features(ds)
     test_pred, train_fit = _ridge_fit_predict(ft, ridge_lambda)
-    fitted = np.empty(ds.shape)  # table rows are cells in row-major order
-    fitted.flat[ft.test_rows] = test_pred
-    fitted.flat[ft.train_rows] = train_fit
+    fitted = np.empty(ds.shape)
+    fitted[~ft.indicator] = test_pred
+    fitted[ft.indicator] = train_fit
     return _finish(
         ds, fitted, fitted, {"method": "featurized-ridge", "ridge_lambda": ridge_lambda}
     )

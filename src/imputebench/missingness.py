@@ -45,7 +45,7 @@ MAX_RESAMPLE_ATTEMPTS = 16
 
 
 class CalibrationError(RuntimeError):
-    """The target mean propensity is unreachable within the intercept bracket."""
+    """Bisection did not reach the target mean propensity within tolerance."""
 
 
 def _sigmoid(x):
@@ -62,25 +62,28 @@ def calibrate_intercept(
     logits: np.ndarray,
     target_mean: float,
     tol: float = 1e-6,
-    bracket: tuple[float, float] = (-30.0, 30.0),
 ) -> float:
     """Find b such that mean(sigmoid(logits + b)) hits the target.
 
     The mean propensity is continuous and strictly increasing in b, so plain
     bisection converges; the returned b satisfies |mean - target| <= tol.
+    The search starts on (-30, 30); as the mean lies between sigmoid(min(logits)
+    + b) and sigmoid(max(logits) + b), a side that misses the target moves out
+    to logit(target) - max(logits) or logit(target) - min(logits).
     """
     if not 0.0 < target_mean < 1.0:
         raise ValueError(f"target mean must be in (0, 1), got {target_mean}")
     logits = np.asarray(logits, dtype=float).ravel()
-    lo, hi = bracket
+    lo, hi = -30.0, 30.0
 
     def mean_at(b: float) -> float:
         return float(_sigmoid(logits + b).mean())
 
-    if mean_at(lo) > target_mean + tol or mean_at(hi) < target_mean - tol:
-        raise CalibrationError(
-            f"target mean {target_mean} unreachable with intercept in {bracket}"
-        )
+    logit_target = math.log(target_mean / (1.0 - target_mean))
+    if mean_at(lo) > target_mean + tol:
+        lo = logit_target - float(logits.max())
+    if mean_at(hi) < target_mean - tol:
+        hi = logit_target - float(logits.min())
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = mean_at(mid)
@@ -586,7 +589,6 @@ def gen_block(
     p_missing: float = 0.4,
     n_row_blocks: int = 10,
     n_col_blocks: int = 10,
-    conv: str = "mean",
     *,
     seed: SeedSpec,
 ) -> Mask:
@@ -599,8 +601,6 @@ def gen_block(
     """
     if not 0.0 < p_missing < 1.0:
         raise ValueError(f"p_missing must be in (0, 1), got {p_missing}")
-    if conv != "mean":
-        raise ValueError(f"unsupported convolution type {conv!r}")
     if n_row_blocks < 1 or n_col_blocks < 1:
         raise ValueError("block counts must be >= 1")
     if n_row_blocks > truth.rows or n_col_blocks > truth.cols:
@@ -696,6 +696,10 @@ def gen_seq(
     indicator = np.zeros((m, n), dtype=np.uint8)
     agents = np.arange(m)
     for j in range(n):
+        if cfg.algorithm == "gradient_bandit":
+            shifted = prefs[unit] - prefs[unit].max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            pi = e / e.sum(axis=1, keepdims=True)
         if j == 0:
             arms = ((agents + 1) % 2).astype(np.intp)
         elif j == 1:
@@ -722,18 +726,11 @@ def gen_seq(
             draw = post_mean + post_sd * z
             arms = (draw[:, 1] >= draw[:, 0]).astype(np.intp)
         else:  # gradient_bandit
-            u = rng.random(m)
-            shifted = prefs[unit] - prefs[unit].max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            pi1 = e[:, 1] / e.sum(axis=1)
-            arms = (u < pi1).astype(np.intp)
+            arms = (rng.random(m) < pi[:, 1]).astype(np.intp)
 
         got = rewards[agents, j, arms]
         indicator[:, j] = arms
         if cfg.algorithm == "gradient_bandit":
-            shifted = prefs[unit] - prefs[unit].max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            pi = e / e.sum(axis=1, keepdims=True)
             base = np.where(baseline_cnt[unit] > 0,
                             baseline_sum[unit] / np.maximum(baseline_cnt[unit], 1.0),
                             0.0)
@@ -821,7 +818,6 @@ PATTERN_DEFAULTS: dict[str, dict] = {
         "p_missing": 0.4,
         "n_row_blocks": 10,
         "n_col_blocks": 10,
-        "conv": "mean",
     },
     "seq": {
         "algorithm": "epsilon_greedy",

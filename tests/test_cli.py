@@ -56,6 +56,16 @@ def test_mask_writes_mask_and_sidecar(tmp_path):
     assert 0.0 < sidecar["missing_fraction"] < 1.0
 
 
+def test_mask_self_masking_on_wide_spread_data(tmp_path):
+    data = _gen_dataset(tmp_path, rows=30, cols=12, seed=1)
+    save_csv(50.0 * load_csv(data).matrix.values, data)
+    mask_path = tmp_path / "mask.csv"
+    code = main(["mask", "--data", str(data), "--pattern", "self-masking",
+                 "--out", str(mask_path)])
+    assert code == 0
+    assert load_mask_csv(mask_path).shape == (30, 12)
+
+
 def test_mask_rejects_inapplicable_hyperparameter(tmp_path, capsys):
     data = _gen_dataset(tmp_path)
     code = main([

@@ -104,6 +104,18 @@ def test_row_permutation_permutes_table_blocks():
     )
 
 
+def test_table_is_built_on_first_read_only():
+    rng = np.random.default_rng(18)
+    ind = (rng.random((7, 5)) < 0.7).astype(np.uint8)
+    ind[0, 0] = 1
+    ft = build_features(_masked(rng.normal(size=(7, 5)), ind))
+    _ridge_fit_predict(ft, 0.1)
+    assert ft.width == 14 and ft.train_rows.size + ft.test_rows.size == 35
+    assert "features" not in vars(ft)
+    assert ft.features is ft.features
+    assert "features" in vars(ft)
+
+
 def test_ridge_zero_targets_give_zero_predictions():
     rng = np.random.default_rng(12)
     truth = np.zeros((6, 4))

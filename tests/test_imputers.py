@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from imputebench.core import DataMatrix, Mask, SeedSpec, apply_mask
 from imputebench.datagen import LfmSpec, sample_lfm
+from imputebench.featurize import _side_block
 from imputebench.imputers import (
     METHOD_TAGS,
     _centered_ridge,
@@ -433,6 +435,76 @@ def test_featurized_ridge_fills_and_reports():
     res = impute_featurized_ridge(ds, ridge_lambda=1e-3)
     assert np.all(np.isfinite(res.completed.values))
     assert res.diagnostics["ridge_lambda"] == 1e-3
+
+
+def _featurized_ridge_on_table(ds, ridge_lambda):
+    """The fit as it ran on the materialized (m*n) x (m+n+2) table: targets
+    and the train/test split read from the table's rows, the matrix and the
+    mask rebuilt from them."""
+    m, n = ds.shape
+    x = ds.observed
+    rows_i, cols_j = np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
+    table = np.concatenate(
+        [rows_i[:, None].astype(float), cols_j[:, None].astype(float),
+         np.repeat(x, n, axis=0), np.tile(x.T, (m, 1))],
+        axis=1,
+    )
+    targets = table[:, 2:2 + n][np.arange(m * n), cols_j]
+    observed_flat = ds.mask.observed[rows_i, cols_j]
+    train_rows, test_rows = np.flatnonzero(observed_flat), np.flatnonzero(~observed_flat)
+
+    x = targets.reshape(m, n)
+    train = np.bincount(train_rows, minlength=m * n).reshape(m, n)
+    row_w, col_w = train.sum(axis=1), train.sum(axis=0)
+    rows, cols = _side_block(x, row_w), _side_block(x.T, col_w)
+    y_mean = targets[train_rows].mean()
+    y_c = np.where(train > 0, x - y_mean, 0.0)
+    cross = rows.T @ train @ cols
+    gram = np.block([
+        [rows.T @ (row_w[:, None] * rows), cross],
+        [cross.T, cols.T @ (col_w[:, None] * cols)],
+    ])
+    gram[np.diag_indices_from(gram)] += ridge_lambda
+    rhs = np.concatenate([rows.T @ y_c.sum(axis=1), cols.T @ y_c.sum(axis=0)])
+    beta = np.linalg.solve(gram, rhs)
+    split = rows.shape[1]
+    pred = np.add.outer(rows @ beta[:split], cols @ beta[split:]).ravel() + y_mean
+    fitted = np.empty(m * n)
+    fitted[test_rows], fitted[train_rows] = pred[test_rows], pred[train_rows]
+    fitted = fitted.reshape(m, n)
+    return np.where(ds.mask.observed, ds.observed, fitted), fitted
+
+
+def test_featurized_ridge_matches_table_path_bitwise():
+    rng = np.random.default_rng(52)
+    for case in range(60):
+        m, n = int(rng.integers(2, 40)), int(rng.integers(2, 25))
+        ind = (rng.random((m, n)) < rng.uniform(0.3, 0.95)).astype(np.uint8)
+        if case % 3 == 0:
+            ind[int(rng.integers(m)), :] = 0  # a row with no observed entry
+        if case % 3 == 1:
+            ind[:, int(rng.integers(n))] = 0  # a column with no observed entry
+        ind[0, 0] = 1
+        ds = _masked(rng.normal(size=(m, n)), ind)
+        for lam in (1e-3, 0.5):
+            res = impute_featurized_ridge(ds, ridge_lambda=lam)
+            completed, fitted = _featurized_ridge_on_table(ds, lam)
+            assert res.completed.values.tobytes() == completed.tobytes(), (case, lam)
+            assert res.fitted_observed.values.tobytes() == fitted.tobytes(), (case, lam)
+
+
+def test_featurized_ridge_never_allocates_the_feature_table():
+    m = n = 200
+    ds = _random_ds(m, n, 0.3, 53)
+    table_bytes = m * n * (m + n + 2) * 8  # 122.7 MiB
+    impute_featurized_ridge(ds)  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        impute_featurized_ridge(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes / 4, peak / 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -72,10 +72,36 @@ def test_calibrate_random_logits_hits_target():
 
 
 def test_calibrate_unreachable_target():
-    with pytest.raises(mg.CalibrationError):
-        mg.calibrate_intercept(np.full(5, 100.0), 0.1)
+    logits = np.full(5, 100.0)
+    b = mg.calibrate_intercept(logits, 0.1)
+    assert abs(expit(logits + b).mean() - 0.1) <= 1e-6
     with pytest.raises(ValueError):
         mg.calibrate_intercept(np.zeros(5), 0.0)
+
+
+def test_calibrate_wide_spread_logits_beyond_the_default_bracket():
+    # self-masking logits on a gen matrix scaled by 50: the spread runs far
+    # past the (-30, 30) start of the intercept search
+    values = 50.0 * sample_lfm(LfmSpec(30, 12, 2), SeedSpec(1, "gen")).values
+    for j in range(values.shape[1]):
+        for slope in mg.SELF_MASKING_COEFFS:
+            logits = slope * values[:, j]
+            for target in (0.1, 0.4, 0.9):
+                b = mg.calibrate_intercept(logits, target)
+                assert abs(expit(logits + b).mean() - target) <= 1e-6, (j, slope, target)
+
+
+def test_calibrate_keeps_the_default_bracket_when_it_holds_the_root():
+    rng = np.random.default_rng(4)
+    logits = rng.normal(scale=3.0, size=200)
+    lo, hi = -30.0, 30.0
+    for _ in range(200):  # bisection on the fixed (-30, 30) bracket
+        mid = 0.5 * (lo + hi)
+        val = mg._sigmoid(logits + mid).mean()
+        if abs(val - 0.3) <= 1e-6:
+            break
+        lo, hi = (mid, hi) if val < 0.3 else (lo, mid)
+    assert mg.calibrate_intercept(logits, 0.3) == mid
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +582,11 @@ def test_block_unit_blocks_on_constant_matrix_degenerate_to_mcar():
 def test_block_grid_must_fit():
     with pytest.raises(ValueError):
         mg.gen_block(_random_matrix(5, 5, 0), 0.4, 10, 2, seed=SeedSpec(0, "b"))
-    with pytest.raises(ValueError):
-        mg.gen_block(_random_matrix(5, 5, 0), 0.4, 2, 2, conv="max",
-                     seed=SeedSpec(0, "b"))
 
 
 def test_block_defaults():
     assert mg.PATTERN_DEFAULTS["block"]["n_row_blocks"] == 10
     assert mg.PATTERN_DEFAULTS["block"]["n_col_blocks"] == 10
-    assert mg.PATTERN_DEFAULTS["block"]["conv"] == "mean"
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +646,61 @@ def test_seq_epsilon_greedy_matches_reference_loop():
             counts[i, arms[i]] += 1
             ref[i, j] = arms[i]
     assert np.array_equal(mask.indicator, ref)
+
+
+def _gradient_bandit_two_softmax(X, cfg, seed):
+    """The gradient-bandit loop with the softmax taken twice per column:
+    once for the arm draw and again for the preference update."""
+    m, n = X.shape
+    rng = seed.rng()
+    noise = rng.normal(0.0, cfg.reward_noise_scale, size=(m, n))
+    rewards = np.stack([X.values, X.values + noise], axis=-1)
+    n_units = 1 if cfg.pooling else m
+    prefs = np.zeros((n_units, 2))
+    baseline_sum, baseline_cnt = np.zeros(n_units), np.zeros(n_units)
+    unit = np.zeros(m, dtype=np.intp) if cfg.pooling else np.arange(m)
+    agents = np.arange(m)
+    ref = np.zeros((m, n), dtype=np.uint8)
+    for j in range(n):
+        if j == 0:
+            arms = ((agents + 1) % 2).astype(np.intp)
+        elif j == 1:
+            arms = (agents % 2).astype(np.intp)
+        else:
+            u = rng.random(m)
+            shifted = prefs[unit] - prefs[unit].max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            arms = (u < e[:, 1] / e.sum(axis=1)).astype(np.intp)
+        got = rewards[agents, j, arms]
+        ref[:, j] = arms
+        shifted = prefs[unit] - prefs[unit].max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        pi = e / e.sum(axis=1, keepdims=True)
+        base = np.where(baseline_cnt[unit] > 0,
+                        baseline_sum[unit] / np.maximum(baseline_cnt[unit], 1.0), 0.0)
+        onehot = np.zeros((m, 2))
+        onehot[agents, arms] = 1.0
+        update = (mg.GRADIENT_BANDIT_STEP * (got - base))[:, None] * (onehot - pi)
+        if cfg.pooling:
+            prefs[0] += update.sum(axis=0)
+            baseline_sum[0] += got.sum()
+            baseline_cnt[0] += m
+        else:
+            prefs += update
+            baseline_sum += got
+            baseline_cnt += 1.0
+    return ref
+
+
+@pytest.mark.parametrize("pooling", [False, True])
+def test_seq_gradient_bandit_matches_two_softmax_loop(pooling):
+    for s in range(5):
+        X = _random_matrix(15, 40, 60 + s)
+        cfg = mg.BanditConfig(algorithm="gradient_bandit", pooling=pooling,
+                              reward_noise_scale=0.5 + s)
+        seed = SeedSpec(s, "seq-gb")
+        mask = mg.gen_seq(X, cfg, seed=seed)
+        assert np.array_equal(mask.indicator, _gradient_bandit_two_softmax(X, cfg, seed))
 
 
 @pytest.mark.parametrize("algorithm", mg.BANDIT_ALGORITHMS)
