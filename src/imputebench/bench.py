@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .core import DataMatrix, Mask, MaskedDataset, SeedSpec, apply_mask
-from .imputers import Imputer
+from .imputers import EQUIVARIANT_METHODS, ImputationResult, Imputer
 from .missingness import PATTERN_TAGS, PatternSpec, generate
 from .scheduler import step as scheduler_step
 from .scheduler import uniform_state
@@ -315,6 +315,34 @@ def _scalar_diagnostics(diag: Mapping) -> dict:
     return keep
 
 
+class _SeedlessRuns:
+    """Runs methods on one group's input, computing each seedless method
+    (``EQUIVARIANT_METHODS``) once per set of params, so the grid cell and
+    the ensemble base that both ask for it get the same result.
+
+    Only a plain ``Imputer`` on the group's own dataset is shared: a subclass
+    may override ``run`` with other behaviour, and is called with (ds, seed)
+    alone. A run that raises is not kept. The ensemble gets this runner as
+    its ``base_run``; the runner holds no reference to itself, so the
+    group's arrays are freed as soon as the group ends.
+    """
+
+    def __init__(self, ds: MaskedDataset):
+        self.ds = ds
+        self.results: dict[tuple, ImputationResult] = {}
+
+    def __call__(self, imputer: Imputer, ds: MaskedDataset,
+                 seed: SeedSpec) -> ImputationResult:
+        if type(imputer) is not Imputer:
+            return imputer.run(ds, seed)
+        if ds is not self.ds or imputer.method not in EQUIVARIANT_METHODS:
+            return imputer.run(ds, seed, base_run=self)
+        key = (imputer.method, tuple(sorted(imputer.params.items())))
+        if key not in self.results:
+            self.results[key] = imputer.run(ds, seed)
+        return self.results[key]
+
+
 @dataclass
 class _GroupResult:
     dataset: str
@@ -348,6 +376,7 @@ def _run_group(
             dropped={**base, "reason": f"mask generation failed: {exc}"},
         )
     digest = _dataset_digest(ds)
+    runs = _SeedlessRuns(ds)
     cells, timings, rmses = [], [], {}
     for method in methods:
         cell = {
@@ -361,7 +390,7 @@ def _run_group(
         }
         t0 = time.perf_counter()
         try:
-            result = method.run(ds, group_seed.child(method.name))
+            result = runs(method, ds, group_seed.child(method.name))
             elapsed = time.perf_counter() - t0
             if _dataset_digest(ds) != digest:
                 raise RuntimeError(f"method {method.name} mutated its input")

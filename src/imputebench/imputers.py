@@ -151,9 +151,12 @@ def _soft_threshold_svd(w: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarr
     return (u * s) @ vt, s
 
 
-def _soft_objective(ds: MaskedDataset, z: np.ndarray, lam: float, s: np.ndarray) -> float:
-    """The objective at z, given the singular values s of z."""
-    resid = ds.observed[ds.mask.observed] - z[ds.mask.observed]
+def _soft_objective(
+    x_obs: np.ndarray, z_obs: np.ndarray, lam: float, s: np.ndarray
+) -> float:
+    """The objective at z, given z at the observed cells (z_obs, in the order
+    of the observed values x_obs) and the singular values s of z."""
+    resid = x_obs - z_obs
     return 0.5 * float(resid @ resid) + lam * float(s.sum())
 
 
@@ -180,7 +183,8 @@ def impute_soft(
     if lam is None:
         lam = 0.1 * float(spectrum[0])
     observed = ds.mask.observed
-    objective = [_soft_objective(ds, z, lam, spectrum)]
+    x_obs = ds.observed[observed]
+    objective = [_soft_objective(x_obs, z[observed], lam, spectrum)]
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -189,7 +193,7 @@ def impute_soft(
         denom = max(float(np.linalg.norm(z)), 1e-12)
         change = float(np.linalg.norm(z_new - z)) / denom
         z = z_new
-        objective.append(_soft_objective(ds, z, lam, spectrum))
+        objective.append(_soft_objective(x_obs, z[observed], lam, spectrum))
         if change < tol:
             converged = True
             break
@@ -340,7 +344,14 @@ class Imputer:
         if not self.name:
             object.__setattr__(self, "name", self.method)
 
-    def run(self, ds: MaskedDataset, seed: SeedSpec) -> ImputationResult:
+    def run(
+        self,
+        ds: MaskedDataset,
+        seed: SeedSpec,
+        base_run: Optional[Callable[..., ImputationResult]] = None,
+    ) -> ImputationResult:
+        """Impute ``ds``. ``base_run`` reaches only the ensemble, which runs
+        its equivariant base through it (see ``ensemble.permutation_ensemble``)."""
         p = self.params
         if self.method == "col-mean":
             return impute_col_mean(ds)
@@ -355,7 +366,7 @@ class Imputer:
         # Lazy import: the ensembler builds on this registry.
         from .ensemble import EnsembleSpec, blend
 
-        return blend(ds, EnsembleSpec(**p), seed)
+        return blend(ds, EnsembleSpec(**p), seed, base_run)
 
 
 def make_imputer(method: str, name: str = "", **params) -> Imputer:

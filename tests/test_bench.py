@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from imputebench import scheduler
+from imputebench import imputers, scheduler
 from imputebench.bench import (
     DatasetFormatError,
     _proportion_trajectory,
@@ -22,8 +22,9 @@ from imputebench.bench import (
 )
 from imputebench.core import DataMatrix, Mask, SeedSpec, apply_mask
 from imputebench.datagen import LfmSpec, sample_lfm
+from imputebench.ensemble import EnsembleSpec, blend
 from imputebench.imputers import ImputationResult, Imputer, make_imputer
-from imputebench.missingness import PATTERN_TAGS
+from imputebench.missingness import PATTERN_TAGS, PatternSpec, generate
 
 
 def _lfm_record(name, seed, m=30, n=8, k=2):
@@ -333,6 +334,89 @@ def test_failed_method_excluded_from_normalization():
     assert all(c["error"] is not None and c["accuracy"] is None for c in broken)
     survivors = [c for c in report.cells if c["method"] != "broken"]
     assert sorted(c["accuracy"] for c in survivors) == [0.0, 1.0]
+
+
+def _count_soft_impute(monkeypatch, fail=False):
+    """Count (and optionally fail) every soft-impute computation."""
+    calls = []
+    real = imputers.impute_soft
+
+    def counting(ds, **params):
+        calls.append(ds)
+        if fail:
+            raise RuntimeError("soft-impute failed")
+        return real(ds, **params)
+
+    monkeypatch.setattr(imputers, "impute_soft", counting)
+    return calls
+
+
+def _group_input(record, pattern, replicate, seed):
+    """The standardized dataset a group of ``run_benchmark`` imputes."""
+    group_seed = SeedSpec(seed, f"{record.name}/{pattern}/{replicate}")
+    mask = generate(PatternSpec(pattern, group_seed.child("mask")), record.matrix)
+    ds, _ = standardize_observed(apply_mask(record.matrix, mask))
+    return ds, group_seed
+
+
+def test_seedless_method_runs_once_per_group(monkeypatch):
+    datasets = [_lfm_record("d0", 14)]
+    patterns = ["mcar", "self-masking"]
+    calls = _count_soft_impute(monkeypatch)
+    for tags in (("col-mean", "soft-impute", "ensemble"),
+                 ("col-mean", "ensemble"),
+                 ("ensemble", "soft-impute", "col-mean")):
+        calls.clear()
+        report = run_benchmark(datasets, patterns,
+                               [make_imputer(t) for t in tags], n_seeds=2, seed=15)
+        assert all(c["error"] is None for c in report.cells)
+        assert len(calls) == len(patterns) * 2, tags
+
+
+def test_ensemble_cell_equals_a_standalone_blend():
+    record = _lfm_record("d0", 16)
+    # A soft-impute with other params runs first; the ensemble must not get it.
+    methods = [make_imputer("col-mean"),
+               make_imputer("soft-impute", name="soft-5", max_iter=5),
+               make_imputer("soft-impute"), make_imputer("ensemble")]
+    report = run_benchmark([record], ["mcar", "self-masking"], methods,
+                           n_seeds=2, seed=17)
+    cells = [c for c in report.cells if c["method"] == "ensemble"]
+    assert len(cells) == 4
+    for cell in cells:
+        ds, group_seed = _group_input(record, cell["pattern"], cell["seed"], 17)
+        alone = blend(ds, EnsembleSpec(), group_seed.child("ensemble"))
+        assert cell["rmse"] == rmse(ds.truth, alone.completed, ds.mask)
+        assert cell["diagnostics"]["weight"] == alone.diagnostics["weight"]
+
+
+def test_seedless_subclass_is_never_shared():
+    record = _lfm_record("d0", 18)
+    methods = [_TruthOracle(method="soft-impute", name="oracle"),
+               make_imputer("soft-impute"), make_imputer("ensemble")]
+    report = run_benchmark([record], ["mcar"], methods, n_seeds=2, seed=19)
+    by_method = {}
+    for cell in report.cells:
+        by_method.setdefault(cell["method"], []).append(cell)
+    assert all(c["rmse"] == 0.0 for c in by_method["oracle"])
+    assert all(c["diagnostics"]["method"] == "soft-impute"
+               for c in by_method["soft-impute"])
+    for cell in by_method["ensemble"]:
+        ds, group_seed = _group_input(record, "mcar", cell["seed"], 19)
+        alone = blend(ds, EnsembleSpec(), group_seed.child("ensemble"))
+        assert cell["rmse"] == rmse(ds.truth, alone.completed, ds.mask) > 0.0
+
+
+def test_failed_seedless_run_is_not_shared(monkeypatch):
+    datasets = [_lfm_record("d0", 20)]
+    calls = _count_soft_impute(monkeypatch, fail=True)
+    methods = [make_imputer(t) for t in
+               ("col-mean", "featurized-ridge", "soft-impute", "ensemble")]
+    report = run_benchmark(datasets, ["mcar"], methods, n_seeds=1, seed=21)
+    failed = {c["method"]: c["error"] for c in report.cells if c["error"] is not None}
+    assert failed == {"soft-impute": "RuntimeError: soft-impute failed",
+                      "ensemble": "RuntimeError: soft-impute failed"}
+    assert len(calls) == 2
 
 
 def test_config_validation():
