@@ -6,27 +6,35 @@ mask, standardizes the masked dataset on its observed entries, runs every
 method on that identical input, and min-max normalizes the per-method RMSE
 into an accuracy in [0, 1]. All group randomness derives from
 (run seed, dataset name, pattern, replicate), so adding a dataset or
-changing parallelism never perturbs another group's numbers. Wall-clock
-timings are reported in a sidecar array rather than inside the cells, which
-keeps the cells byte-identical across reruns.
+changing parallelism never perturbs another group's numbers. Groups run
+with every loaded OpenBLAS held at one thread, so the cells do not depend
+on the machine's core count either; a BLAS that cannot be pinned keeps its
+own thread count, as before, and a host program's other threads also see
+one BLAS thread while a grid runs. Wall-clock timings are reported in a
+sidecar array rather than inside the cells, which keeps the cells
+byte-identical across reruns.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
+import itertools
 import json
+import os
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .core import DataMatrix, Mask, MaskedDataset, SeedSpec, apply_mask
-from .imputers import EQUIVARIANT_METHODS, ImputationResult, Imputer
+from .imputers import EQUIVARIANT_METHODS, ImputationResult, Imputer, knn_peak_bytes
 from .missingness import PATTERN_TAGS, PatternSpec, generate
 from .scheduler import step as scheduler_step
 from .scheduler import uniform_state
@@ -488,6 +496,102 @@ def _aggregate(cells: Sequence[dict], methods: Sequence[str]) -> dict:
     }
 
 
+def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
+    """The (get, set) thread-count functions of every OpenBLAS loaded in this
+    process, found through /proc/self/maps or, where that file does not
+    exist, among numpy's bundled libraries. Empty when there is none."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip()
+                     for line in fh if "openblas" in line.lower()}
+    except OSError:
+        root = Path(np.__file__).parent
+        paths = {str(p) for d in (root.parent / "numpy.libs", root / ".dylibs")
+                 for p in d.glob("*openblas*")}
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # plain, ILP64 and scipy-openblas builds name the same two functions
+        # differently (numpy's wheel: scipy_openblas_get_num_threads64_)
+        for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_", "_64")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+class _OneBlasThread:
+    """Holds every loaded OpenBLAS at one thread and gives back the previous
+    counts on exit, exceptions included. The thread count is process-wide,
+    so there is one of these per process: grids that overlap, in one host
+    thread or several, share one pin and the last to leave restores."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list[tuple[Callable, int]] = []
+
+    def pin_this_thread(self) -> None:
+        """Pin again from a pool thread: an OpenMP build keeps the count per
+        calling thread."""
+        for set_, _ in self._saved:
+            set_(1)
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [(set_, get()) for get, set_ in _openblas_thread_controls()]
+                self.pin_this_thread()
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_, count in self._saved:
+                    set_(count)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the OS does not say."""
+    try:
+        pages = os.sysconf("SC_PHYS_PAGES")
+        return pages * os.sysconf("SC_PAGE_SIZE") if pages > 0 else None
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _refuse_oversize_knn(
+    datasets: Sequence[DatasetRecord], methods: Sequence[Imputer], at_once: int
+) -> None:
+    """Raise before any group runs when knn's m x m arrays for the tallest
+    dataset, ``at_once`` groups side by side, exceed physical memory."""
+    users = [m.name for m in methods
+             if "knn" in (m.method, m.params.get("base_a"), m.params.get("base_b"))]
+    budget = _physical_memory()
+    if not users or budget is None:
+        return
+    tallest = max(datasets, key=lambda d: d.matrix.shape[0])
+    rows, cols = tallest.matrix.shape
+    need = at_once * knn_peak_bytes(rows)
+    if need > budget:
+        raise ValueError(
+            f"method {users[0]!r} needs {need:,} bytes of knn row distances "
+            f"for dataset {tallest.name!r} ({rows}x{cols}) with {at_once} "
+            f"groups at once; physical memory is {budget:,} bytes"
+        )
+
+
 def run_benchmark(
     datasets: Sequence[DatasetRecord],
     patterns: Sequence[Union[str, tuple[str, Mapping]]],
@@ -502,7 +606,14 @@ def run_benchmark(
 
     Output is deterministic for a fixed seed regardless of ``jobs``: group
     seeds derive from (seed, dataset name, pattern, replicate) and results
-    are assembled in canonical grid order.
+    are assembled in canonical grid order. The groups run with every loaded
+    OpenBLAS set to one thread, so the cells do not depend on the machine's
+    core count; the caller's thread count is restored on return or raise.
+    A BLAS without that setter keeps its own count, as before. The setting
+    is process-wide, so the host program's other threads also see one BLAS
+    thread while the grid runs. A grid that lists ``knn`` (as a method or an
+    ensemble base) is refused up front with ``ValueError`` when its m x m
+    arrays, times the groups that run at once, exceed physical memory.
     """
     if not datasets:
         raise ValueError("need at least one dataset")
@@ -529,19 +640,23 @@ def run_benchmark(
         for tag, params in norm_patterns
         for replicate in range(n_seeds)
     ]
-    if jobs == 1:
-        results = [
-            _run_group(d, tag, params, rep, seed, methods)
-            for d, tag, params, rep in tasks
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda t: _run_group(t[0], t[1], t[2], t[3], seed, methods),
-                    tasks,
+    _refuse_oversize_knn(datasets, methods, min(jobs, len(tasks)))
+    with _ONE_BLAS_THREAD:
+        if jobs == 1:
+            results = [
+                _run_group(d, tag, params, rep, seed, methods)
+                for d, tag, params, rep in tasks
+            ]
+        else:
+            with ThreadPoolExecutor(
+                max_workers=jobs, initializer=_ONE_BLAS_THREAD.pin_this_thread
+            ) as pool:
+                results = list(
+                    pool.map(
+                        lambda t: _run_group(t[0], t[1], t[2], t[3], seed, methods),
+                        tasks,
+                    )
                 )
-            )
 
     cells, timings, dropped = [], [], []
     for res in results:

@@ -1,9 +1,13 @@
 import json
+import pathlib
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from imputebench import imputers, scheduler
+from imputebench import bench, imputers, scheduler
 from imputebench.bench import (
     DatasetFormatError,
     _proportion_trajectory,
@@ -417,6 +421,148 @@ def test_failed_seedless_run_is_not_shared(monkeypatch):
     assert failed == {"soft-impute": "RuntimeError: soft-impute failed",
                       "ensemble": "RuntimeError: soft-impute failed"}
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads and memory
+# ---------------------------------------------------------------------------
+
+_needs_openblas = pytest.mark.skipif(
+    not bench._openblas_thread_controls(),
+    reason="no OpenBLAS with a thread-count setter is loaded",
+)
+
+
+@_needs_openblas
+def test_cells_do_not_depend_on_blas_threads_or_jobs():
+    # Unpinned, OpenBLAS splits the featurized ridge's products across its
+    # threads, and the panel cells' last bits follow the thread count.
+    import imputebench
+
+    package_root = str(pathlib.Path(imputebench.__file__).resolve().parents[1])
+    snippet = """
+import hashlib, json, sys
+from imputebench.bench import DatasetRecord, run_benchmark
+from imputebench.core import SeedSpec
+from imputebench.datagen import LfmSpec, sample_lfm
+from imputebench.imputers import make_imputer
+record = DatasetRecord("d", "<memory>", sample_lfm(
+    LfmSpec(m=150, n=40, k=3, noise_scale=0.1), SeedSpec(7, "blas-threads")))
+methods = [make_imputer(t) for t in
+           ("col-mean", "soft-impute", "featurized-ridge", "ensemble")]
+report = run_benchmark([record], ["panel", "mcar"], methods, n_seeds=2, seed=7,
+                       jobs=int(sys.argv[1]))
+print(hashlib.sha256(json.dumps(report.cells, sort_keys=True).encode()).hexdigest())
+"""
+    digests = {
+        (threads, jobs): subprocess.run(
+            [sys.executable, "-c", snippet, str(jobs)],
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root,
+                 "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        for threads in ("1", "2")
+        for jobs in (1, 2)
+    }
+    assert len(set(digests.values())) == 1, digests
+
+
+@_needs_openblas
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_grid_runs_on_one_blas_thread_and_restores_the_count(jobs):
+    controls = bench._openblas_thread_controls()
+    seen = []
+
+    class Probe(Imputer):
+        """Records the OpenBLAS thread counts a method sees."""
+
+        def run(self, ds, seed):
+            seen.append([get() for get, _ in controls])
+            return imputers.impute_col_mean(ds)
+
+    probe = Probe(method="col-mean", name="probe")
+    before = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(2)
+        caller = [get() for get, _ in controls]
+        run_benchmark([_lfm_record("d0", 22)], ["mcar", "panel"],
+                      [probe, make_imputer("col-mean")], n_seeds=2, seed=23,
+                      jobs=jobs)
+        assert [get() for get, _ in controls] == caller
+        with pytest.warns(UserWarning), pytest.raises(ValueError, match="dropped"):
+            run_benchmark([_lfm_record("d0", 22)], ["mcar"],
+                          [probe, _AlwaysFails(method="col-mean", name="broken")],
+                          n_seeds=1, seed=23, jobs=jobs)
+        assert [get() for get, _ in controls] == caller
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)
+    assert len(seen) == 5
+    assert all(counts == [1] * len(controls) for counts in seen)
+
+
+@_needs_openblas
+def test_overlapping_grids_restore_once_the_last_one_ends():
+    controls = bench._openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    inside = []
+
+    def pinned_reads():
+        for _ in range(200):
+            with bench._ONE_BLAS_THREAD:
+                inside.append([get() for get, _ in controls])
+
+    interval = sys.getswitchinterval()
+    try:
+        for _, set_ in controls:
+            set_(2)
+        caller = [get() for get, _ in controls]
+        with bench._ONE_BLAS_THREAD:
+            run_benchmark([_lfm_record("d0", 25)], ["mcar"],
+                          [make_imputer("col-mean"), make_imputer("soft-impute")],
+                          n_seeds=1)
+            assert [get() for get, _ in controls] == [1] * len(controls)
+        assert [get() for get, _ in controls] == caller
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=pinned_reads) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert [get() for get, _ in controls] == caller
+    finally:
+        sys.setswitchinterval(interval)
+        for (_, set_), count in zip(controls, before):
+            set_(count)
+    assert len(inside) == 800
+    assert all(counts == [1] * len(controls) for counts in inside)
+
+
+def test_oversize_knn_is_refused_before_any_group_runs(monkeypatch):
+    record = _lfm_record("d0", 24)  # 30 x 8
+    need = imputers.knn_peak_bytes(30)
+
+    def no_group(*args):
+        raise AssertionError("a group ran")
+
+    monkeypatch.setattr(bench, "_physical_memory", lambda: 2 * need - 1)
+    monkeypatch.setattr(bench, "_run_group", no_group)
+    ensemble_knn = make_imputer("ensemble", name="ens-knn", base_b="knn")
+    for methods, jobs in (([make_imputer("col-mean"), make_imputer("knn")], 2),
+                          ([make_imputer("col-mean"), ensemble_knn], 3)):
+        with pytest.raises(ValueError) as err:
+            run_benchmark([record], ["mcar"], methods, n_seeds=2, jobs=jobs)
+        message = str(err.value)
+        assert "knn" in message and "30x8" in message
+        assert f"{2 * need:,} bytes" in message
+    # one group at a time fits; so do grids without knn
+    monkeypatch.undo()
+    monkeypatch.setattr(bench, "_physical_memory", lambda: 2 * need - 1)
+    for methods, jobs in (([make_imputer("col-mean"), make_imputer("knn")], 1),
+                          ([make_imputer("col-mean"), make_imputer("soft-impute")], 2)):
+        run_benchmark([record], ["mcar"], methods, n_seeds=2, jobs=jobs)
 
 
 def test_config_validation():

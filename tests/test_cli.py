@@ -239,6 +239,22 @@ def test_bench_config_errors_exit_two(tmp_path, capsys):
     ]) == 2
 
 
+def test_bench_oversize_knn_exits_two(tmp_path, capsys, monkeypatch):
+    import imputebench.bench as bench
+
+    data_dir = tmp_path / "datasets"
+    data_dir.mkdir()
+    _gen_dataset(data_dir, name="d.csv")
+    monkeypatch.setattr(bench, "_physical_memory", lambda: 1024)
+    assert main([
+        "bench", "--datasets", str(data_dir), "--patterns", "mcar",
+        "--methods", "col-mean,knn", "--out", str(tmp_path / "o"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "'knn'" in err and "20x6" in err and "bytes" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bench_partial_failure_exits_three(tmp_path, capsys):
     # a 4-column dataset cannot host the default 10-column block grid, so
     # every block group drops while the mcar groups survive
