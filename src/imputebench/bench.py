@@ -496,6 +496,31 @@ def _aggregate(cells: Sequence[dict], methods: Sequence[str]) -> dict:
     }
 
 
+def _load_thread_controls(path: str) -> Optional[tuple[Callable, Callable]]:
+    """The (get, set) thread-count functions the library at path exports,
+    or None when it cannot be loaded or exports neither."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    # plain, ILP64 and scipy-openblas builds name the same two functions
+    # differently (numpy's wheel: scipy_openblas_get_num_threads64_)
+    for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_", "_64")):
+        get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+# Library path -> its thread controls, or None. A loaded library stays loaded
+# for the life of the process, so each is opened and looked up once: a fresh
+# ctypes handle per grid costs time and leaves Python heap behind for good.
+_THREAD_CONTROLS: dict[str, Optional[tuple[Callable, Callable]]] = {}
+
+
 def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
     """The (get, set) thread-count functions of every OpenBLAS loaded in this
     process, found through /proc/self/maps or, where that file does not
@@ -510,20 +535,10 @@ def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
                  for p in d.glob("*openblas*")}
     controls = []
     for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        # plain, ILP64 and scipy-openblas builds name the same two functions
-        # differently (numpy's wheel: scipy_openblas_get_num_threads64_)
-        for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_", "_64")):
-            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
+        if path not in _THREAD_CONTROLS:
+            _THREAD_CONTROLS[path] = _load_thread_controls(path)
+        if _THREAD_CONTROLS[path] is not None:
+            controls.append(_THREAD_CONTROLS[path])
     return controls
 
 

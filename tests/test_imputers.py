@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -15,6 +17,7 @@ from imputebench.imputers import (
     _column_means,
     _mean_fill,
     _row_distances,
+    _soft_threshold,
     impute_col_mean,
     impute_ice,
     impute_knn,
@@ -75,6 +78,31 @@ def test_col_mean_all_missing_column_falls_back_to_zero():
     ds = _masked([[1.0, 9.0], [2.0, 9.0]], [[1, 0], [1, 0]])
     res = impute_col_mean(ds)
     assert np.all(res.completed.values[:, 1] == 0.0)
+
+
+def test_col_mean_leaves_the_warnings_filters_alone():
+    # The filters are process-wide: swapping them around nanmean from two
+    # threads at once could leave one thread's "ignore" installed for good.
+    truth = sample_lfm(LfmSpec(m=200, n=10, k=3), SeedSpec(5, "col-mean-threads"))
+    ds = apply_mask(truth, generate(PatternSpec("mcar", SeedSpec(0, "mcar")), truth))
+    before = list(warnings.filters)
+
+    def impute_many():
+        for _ in range(3000):
+            impute_col_mean(ds)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=impute_many) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert warnings.filters == before
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +320,9 @@ def test_soft_objective_matches_recomputed_nuclear_norm():
 
 
 def _impute_soft_reference(ds, lam=None, max_iter=200, tol=1e-5):
-    """impute_soft as it was when the objective re-gathered the observed
-    cells from the dataset on every iteration."""
+    """impute_soft in its thin-SVD formulation: every iteration takes the
+    full SVD of the filled matrix and the objective re-gathers the observed
+    cells from the dataset."""
 
     def objective_at(z, lam, s):
         resid = ds.observed[ds.mask.observed] - z[ds.mask.observed]
@@ -330,16 +359,66 @@ def _impute_soft_reference(ds, lam=None, max_iter=200, tol=1e-5):
 
 
 @pytest.mark.parametrize("pattern", ["mcar", "block"])
-def test_soft_matches_reference_bitwise(pattern):
+def test_soft_matches_reference(pattern):
+    # The shrink goes through a Gram eigendecomposition, not the reference's
+    # thin SVD, so the floats agree to a tolerance rather than bitwise.
     truth = sample_lfm(LfmSpec(m=60, n=15, k=3), SeedSpec(7, "soft-ref"))
     for rep, (lam, max_iter) in enumerate([(None, 200), (0.5, 200), (None, 4)]):
         mask = generate(PatternSpec(pattern, SeedSpec(rep, pattern)), truth)
         ds = apply_mask(truth, mask)
         got = impute_soft(ds, lam=lam, max_iter=max_iter)
-        completed, fitted, diagnostics = _impute_soft_reference(ds, lam, max_iter)
-        assert got.completed.values.tobytes() == completed.tobytes()
-        assert got.fitted_observed.values.tobytes() == fitted.tobytes()
-        assert got.diagnostics == diagnostics
+        completed, fitted, want = _impute_soft_reference(ds, lam, max_iter)
+        diag = got.diagnostics
+        for key in ("method", "lambda", "iterations", "converged", "objective_monotone"):
+            assert diag[key] == want[key], key
+        for values, ref in ((got.completed.values, completed),
+                            (got.fitted_observed.values, fitted)):
+            assert np.abs(values - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert len(diag["objective"]) == len(want["objective"])
+        for a, b in zip(diag["objective"], want["objective"]):
+            assert abs(a - b) <= 1e-12 * abs(b)
+        assert abs(diag["final_change"] - want["final_change"]) <= (
+            1e-5 * abs(want["final_change"]))
+
+
+def _thin_svd_shrink(w, lam):
+    u, s, vt = np.linalg.svd(w, full_matrices=False)
+    return (u * np.maximum(s - lam, 0.0)) @ vt
+
+
+def _shrink_inputs():
+    rng = np.random.default_rng(61)
+    low_rank = rng.normal(size=(25, 3)) @ rng.normal(size=(3, 10))
+    return {
+        "tall": rng.normal(size=(40, 9)),
+        "wide": rng.normal(size=(9, 40)),
+        "square": rng.normal(size=(12, 12)),
+        "rank-deficient tall": low_rank,
+        "rank-deficient wide": low_rank.T.copy(),
+        "all-zero": np.zeros((6, 4)),
+        "1xn": rng.normal(size=(1, 7)),
+        "mx1": rng.normal(size=(9, 1)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_shrink_inputs()))
+def test_soft_threshold_matches_thin_svd(name):
+    w = _shrink_inputs()[name]
+    # the step's own top singular value, so lam >= sigma_1 is exact on its
+    # side; the thin SVD's differs from it in the last bits
+    sigma_1 = _soft_threshold(w, 0.0)[1][0]
+    for factor in (0.0, 1e-6, 0.1, 1.0, 2.0):
+        lam = factor * sigma_1
+        got, spectrum = _soft_threshold(w, lam)
+        assert got.shape == w.shape
+        # relative to the input: at lam >= sigma_1 both results are ~0
+        diff = np.abs(got - _thin_svd_shrink(w, lam)).max()
+        assert diff <= 1e-11 * np.abs(w).max(), factor
+        assert spectrum.shape == (min(w.shape),)
+        assert np.all(spectrum >= 0.0)
+        assert np.all(np.diff(spectrum) <= 0.0)
+        if factor >= 1.0:
+            assert np.all(got == 0.0) and np.all(spectrum == 0.0)
 
 
 def test_soft_recovers_rank_one_matrix():
