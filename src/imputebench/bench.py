@@ -577,20 +577,38 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
+_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+
+
+def _cgroup_memory_limit() -> Optional[int]:
+    """The cgroup v2 memory limit in bytes, or None where the file is not
+    readable or sets no limit (``max``)."""
+    try:
+        with open(_CGROUP_MEMORY_MAX) as f:
+            text = f.read().strip()
+    except OSError:
+        return None
+    return int(text) if text.isdigit() else None
+
+
 def _physical_memory() -> Optional[int]:
-    """Bytes of physical memory, or None where the OS does not say."""
+    """Bytes of memory the process may use: physical memory or the cgroup v2
+    limit, whichever is smaller; None where neither is known."""
     try:
         pages = os.sysconf("SC_PHYS_PAGES")
-        return pages * os.sysconf("SC_PAGE_SIZE") if pages > 0 else None
+        physical = pages * os.sysconf("SC_PAGE_SIZE") if pages > 0 else None
     except (AttributeError, ValueError, OSError):
-        return None
+        physical = None
+    known = [b for b in (physical, _cgroup_memory_limit()) if b is not None]
+    return min(known) if known else None
 
 
 def _refuse_oversize_knn(
     datasets: Sequence[DatasetRecord], methods: Sequence[Imputer], at_once: int
 ) -> None:
     """Raise before any group runs when knn's m x m arrays for the tallest
-    dataset, ``at_once`` groups side by side, exceed physical memory."""
+    dataset, ``at_once`` groups side by side, exceed the memory the process
+    may use (``_physical_memory``)."""
     users = [m.name for m in methods
              if "knn" in (m.method, m.params.get("base_a"), m.params.get("base_b"))]
     budget = _physical_memory()
@@ -603,7 +621,8 @@ def _refuse_oversize_knn(
         raise ValueError(
             f"method {users[0]!r} needs {need:,} bytes of knn row distances "
             f"for dataset {tallest.name!r} ({rows}x{cols}) with {at_once} "
-            f"groups at once; physical memory is {budget:,} bytes"
+            f"groups at once; the process may use {budget:,} bytes (physical "
+            f"memory or the cgroup limit, whichever is smaller)"
         )
 
 
@@ -628,7 +647,8 @@ def run_benchmark(
     is process-wide, so the host program's other threads also see one BLAS
     thread while the grid runs. A grid that lists ``knn`` (as a method or an
     ensemble base) is refused up front with ``ValueError`` when its m x m
-    arrays, times the groups that run at once, exceed physical memory.
+    arrays, times the groups that run at once, exceed physical memory or the
+    cgroup v2 memory limit, whichever is smaller.
     """
     if not datasets:
         raise ValueError("need at least one dataset")

@@ -8,12 +8,19 @@ provided as the desk-scale regressor for this table. Every column of its
 numeric design depends on the row alone or on the column alone, so it fits
 from an m-row and an n-row block of the masked matrix and never materializes
 the table or the per-cell design.
+
+Only the two index columns depend on the order of the rows and columns, so
+the same consumer also averages its fits over k permutations in one solve:
+the Gram block of the other columns is shared, and each permutation's index
+columns take a 2 x 2 Schur complement. This agrees with k separate fits to
+within 1e-9 of the largest entry. The plain fit is the case k = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -84,60 +91,114 @@ def build_features(ds: MaskedDataset) -> FeatureTable:
     return FeatureTable(observed=ds.observed, indicator=ds.mask.observed)
 
 
+def _centred(block: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Centre the columns of block on the training cells, in which row i of
+    block appears weight[i] times."""
+    return block - weight @ block / weight.sum()
+
+
 def _side_block(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """The design columns owned by the rows of x, one block row per row: the
-    z-scored index, the mean-filled context and its missing indicators.
+    """The order-free design columns owned by the rows of x, one block row
+    per row: the mean-filled context and its missing indicators, centred.
 
     Statistics are taken over the training cells, in which row i of x
-    appears weight[i] times, and the block is centred on the same weights.
+    appears weight[i] times. A permutation of the matrix only reorders these
+    rows and columns.
     """
-    total = weight.sum()
-    index = np.arange(x.shape[0]) - weight @ np.arange(x.shape[0]) / total
-    sd = np.sqrt(weight @ index**2 / total)
     missing = np.isnan(x)
     counts = weight @ ~missing
     with np.errstate(invalid="ignore"):
         fill = np.where(counts > 0, weight @ np.where(missing, 0.0, x) / counts, 0.0)
-    block = np.column_stack([index / (sd or 1.0), np.where(missing, fill, x), missing])
-    return block - weight @ block / total
+    return _centred(np.column_stack([np.where(missing, fill, x), missing]), weight)
+
+
+def _index_columns(positions: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """The z-scored, centred index column of each assignment: positions is
+    (rows, k), each column the rows' positions in one frame."""
+    index = positions - weight @ positions / weight.sum()
+    sd = np.sqrt(weight @ index**2 / weight.sum())
+    return _centred(index / np.where(sd == 0, 1.0, sd), weight)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve``, reporting a singular system as SingularSystemError."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(
+            "normal equations are singular at this penalty; retry with a "
+            "larger ridge_lambda"
+        ) from exc
 
 
 def _ridge_fit_predict(
-    ft: FeatureTable, ridge_lambda: float
+    ft: FeatureTable,
+    ridge_lambda: float,
+    positions: Optional[Sequence[tuple[np.ndarray, np.ndarray]]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form ridge on the training rows.
+    """Closed-form ridge on the training rows, averaged over k index
+    assignments.
 
     Returns (predictions at test rows, fitted values at train rows). The
-    intercept is handled by centering and left unpenalized. The centred
-    design row of cell (i, j) is [R[i], C[j]], R and C from _side_block, so
-    every prediction is additive: R[i] @ beta_r + C[j] @ beta_c + mean(y).
+    intercept is handled by centering and left unpenalized. An assignment is
+    a pair (row positions, column positions): each original row's and
+    column's position in a permuted frame, i.e. ``argsort`` of the (row,
+    column) permutation. Without ``positions`` the one assignment is the
+    identity, the plain fit. The fit in a permuted frame is the fit of the
+    original matrix with its two index columns replaced: the other columns
+    only change order, which an isotropic penalty ignores. So the average of
+    the k fits is one solve of their shared Gram block G0, with the target
+    and the index columns' cross terms stacked as its right-hand side, plus a
+    2 x 2 Schur complement per assignment for its two index coefficients.
+
+    The centred design row of cell (i, j) is [R[i], a[i], C[j], c[j]], with
+    R and C from _side_block and a and c the index columns, so every
+    prediction is additive and the average is one ``np.add.outer``.
     """
     if ridge_lambda < 0:
         raise ValueError(f"ridge penalty must be >= 0, got {ridge_lambda}")
     if not ft.indicator.any():
         raise ValueError("no training rows: the dataset has no observed entry")
     x, train = ft.observed, ft.indicator
+    m, n = x.shape
+    if positions is None:
+        positions = [(np.arange(m), np.arange(n))]
+    k = len(positions)
     row_w, col_w = train.sum(axis=1), train.sum(axis=0)
     rows, cols = _side_block(x, row_w), _side_block(x.T, col_w)
+    a_r = _index_columns(np.column_stack([p for p, _ in positions]), row_w)
+    a_c = _index_columns(np.column_stack([p for _, p in positions]), col_w)
     y_mean = x[train].mean()
     y_c = np.where(train, x - y_mean, 0.0)
+    y_r, y_col = y_c.sum(axis=1), y_c.sum(axis=0)
+    t = train.astype(float)
+    ta_c, ta_r = t @ a_c, t.T @ a_r  # each index column summed along the other side
 
-    cross = rows.T @ train @ cols
+    cross = rows.T @ t @ cols
     gram = np.block([
         [rows.T @ (row_w[:, None] * rows), cross],
         [cross.T, cols.T @ (col_w[:, None] * cols)],
     ])
     gram[np.diag_indices_from(gram)] += ridge_lambda
-    rhs = np.concatenate([rows.T @ y_c.sum(axis=1), cols.T @ y_c.sum(axis=0)])
-    try:
-        beta = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "normal equations are singular at this penalty; retry with a "
-            "larger ridge_lambda"
-        ) from exc
+    # Cross terms of the shared columns with each assignment's row (b_r) and
+    # column (b_c) index column, p x k; solved together with the target.
+    b_r = np.concatenate([rows.T @ (row_w[:, None] * a_r), cols.T @ ta_r])
+    b_c = np.concatenate([rows.T @ ta_c, cols.T @ (col_w[:, None] * a_c)])
+    rhs = np.column_stack([np.concatenate([rows.T @ y_r, cols.T @ y_col]), b_r, b_c])
+    sol = _solve(gram, rhs)
+    beta0, s_r, s_c = sol[:, 0], sol[:, 1:k + 1], sol[:, k + 1:]
+    # Each assignment's 2 x 2 Schur complement, stacked k x 2 x 2.
+    off = (a_r * ta_c).sum(axis=0) - (b_r * s_c).sum(axis=0)
+    schur = np.stack([
+        np.stack([row_w @ a_r**2 + ridge_lambda - (b_r * s_r).sum(axis=0), off], -1),
+        np.stack([off, col_w @ a_c**2 + ridge_lambda - (b_c * s_c).sum(axis=0)], -1),
+    ], -2)
+    target = np.stack([a_r.T @ y_r - b_r.T @ beta0, a_c.T @ y_col - b_c.T @ beta0], -1)
+    gamma = _solve(schur, target[..., None])[..., 0]
+    beta = beta0 - (s_r @ gamma[:, 0] + s_c @ gamma[:, 1]) / k
     split = rows.shape[1]
-    pred = np.add.outer(rows @ beta[:split], cols @ beta[split:]) + y_mean
+    pred = np.add.outer(rows @ beta[:split] + a_r @ gamma[:, 0] / k,
+                        cols @ beta[split:] + a_c @ gamma[:, 1] / k) + y_mean
     return pred[~train], pred[train]
 
 

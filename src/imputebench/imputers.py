@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -309,15 +309,27 @@ def impute_ice(
 # ---------------------------------------------------------------------------
 
 
+def _featurized_ridge_fit(
+    ds: MaskedDataset,
+    ridge_lambda: float,
+    positions: Optional[Sequence[tuple[np.ndarray, np.ndarray]]] = None,
+) -> np.ndarray:
+    """Featurized ridge's prediction at every cell, averaged over the index
+    assignments ``positions`` (see ``featurize._ridge_fit_predict``); the
+    plain fit without them."""
+    ft = build_features(ds)
+    test_pred, train_fit = _ridge_fit_predict(ft, ridge_lambda, positions)
+    fitted = np.empty(ds.shape)
+    fitted[~ft.indicator] = test_pred
+    fitted[ft.indicator] = train_fit
+    return fitted
+
+
 def impute_featurized_ridge(
     ds: MaskedDataset, ridge_lambda: float = 1e-3
 ) -> ImputationResult:
     """Run closed-form ridge on the entry-wise feature table."""
-    ft = build_features(ds)
-    test_pred, train_fit = _ridge_fit_predict(ft, ridge_lambda)
-    fitted = np.empty(ds.shape)
-    fitted[~ft.indicator] = test_pred
-    fitted[ft.indicator] = train_fit
+    fitted = _featurized_ridge_fit(ds, ridge_lambda)
     return _finish(
         ds, fitted, fitted, {"method": "featurized-ridge", "ridge_lambda": ridge_lambda}
     )
@@ -344,8 +356,10 @@ METHOD_DEFAULTS: dict[str, dict] = {
 METHOD_TAGS = tuple(METHOD_DEFAULTS)
 
 # Methods whose result commutes with row and column permutations of the input.
-# Left out: featurized-ridge (z-scored index features move it by ~6e-3), ice
-# (seeded random column order) and knn (distance ties broken by row order).
+# Left out: featurized-ridge (z-scored index features move it by ~6e-3; the
+# ensemble averages its permutations in one shared solve instead, see
+# featurize._ridge_fit_predict), ice (seeded random column order) and knn
+# (distance ties broken by row order).
 EQUIVARIANT_METHODS = frozenset({"col-mean", "soft-impute"})
 
 

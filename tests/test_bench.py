@@ -586,6 +586,33 @@ def test_oversize_knn_is_refused_before_any_group_runs(monkeypatch):
         run_benchmark([record], ["mcar"], methods, n_seeds=2, jobs=jobs)
 
 
+def test_memory_budget_is_the_smaller_of_physical_and_cgroup(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "_cgroup_memory_limit", lambda: None)
+    physical = bench._physical_memory()
+    assert physical is not None and physical > 0
+    monkeypatch.setattr(bench, "_cgroup_memory_limit", lambda: physical // 4)
+    assert bench._physical_memory() == physical // 4
+    monkeypatch.setattr(bench, "_cgroup_memory_limit", lambda: 4 * physical)
+    assert bench._physical_memory() == physical
+
+    # a cgroup limit below physical memory refuses a knn grid that fits the machine
+    record = _lfm_record("d0", 24)  # 30 x 8
+    need = imputers.knn_peak_bytes(30)
+    monkeypatch.setattr(bench, "_cgroup_memory_limit", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"may use {need - 1:,} bytes"):
+        run_benchmark([record], ["mcar"], [make_imputer("col-mean"), make_imputer("knn")],
+                      n_seeds=1)
+    monkeypatch.undo()
+
+    # the reader: a number is a limit; "max", junk and a missing file are not
+    limit_file = tmp_path / "memory.max"
+    monkeypatch.setattr(bench, "_CGROUP_MEMORY_MAX", str(limit_file))
+    assert bench._cgroup_memory_limit() is None
+    for text, want in (("1073741824\n", 1073741824), ("max\n", None), ("", None)):
+        limit_file.write_text(text)
+        assert bench._cgroup_memory_limit() == want
+
+
 def test_config_validation():
     ds = [_lfm_record("d0", 9)]
     methods = [make_imputer("col-mean"), make_imputer("knn")]

@@ -229,7 +229,8 @@ def test_blend_runs_equivariant_base_once(monkeypatch):
     monkeypatch.setattr(Imputer, "run", counting_run)
     spec = EnsembleSpec()
     out = blend(_random_ds(12, 6, 0.3, 32), spec, SEED)
-    assert counts == {"soft-impute": 1, "featurized-ridge": spec.n_perms}
+    # featurized ridge averages its permutations in one fit, outside Imputer.run
+    assert counts == {"soft-impute": 1}
     assert out.diagnostics["n_perms"] == spec.n_perms
 
 
@@ -251,6 +252,76 @@ def test_equivariant_shortcut_matches_explicit_average():
                            rtol=0, atol=1e-12)
         assert np.allclose(once.fitted_observed.values, averaged.fitted_observed.values,
                            rtol=0, atol=1e-12)
+
+
+def _loop_average(imputer, ds, perms):
+    """The permutation average written out: permute, fit, un-permute, mean."""
+    completed, fitted = [], []
+    for row_perm, col_perm in perms:
+        result = imputer.run(ens._permute_dataset(ds, row_perm, col_perm), SEED)
+        completed.append(_unpermute(result.completed.values, row_perm, col_perm))
+        fitted.append(_unpermute(result.fitted_observed.values, row_perm, col_perm))
+    return np.mean(completed, axis=0), np.mean(fitted, axis=0)
+
+
+class _CountingRidge(Imputer):
+    calls = 0
+
+    def run(self, ds, seed, base_run=None):
+        type(self).calls += 1
+        return super().run(ds, seed)
+
+
+def test_featurized_ridge_average_matches_explicit_loop():
+    rng = np.random.default_rng(41)
+    for case in range(30):
+        m, n = int(rng.integers(3, 30)), int(rng.integers(3, 16))
+        ind = (rng.random((m, n)) < rng.uniform(0.4, 0.95)).astype(np.uint8)
+        if case % 3 == 0:
+            ind[int(rng.integers(m)), :] = 0  # a row with no observed entry
+        if case % 3 != 2:
+            ind[:, int(rng.integers(n))] = 0  # a column with no observed entry
+        ind[0, 0] = 1
+        ds = apply_mask(DataMatrix(rng.normal(size=(m, n))), Mask(ind))
+        seed = SeedSpec(case, "ridge-average")
+        for lam in (1e-3, 1.0):
+            base = make_imputer("featurized-ridge", ridge_lambda=lam)
+            for n_perms in (1, 3, 4):
+                drawn = []
+                for t in range(n_perms):
+                    shuffle = seed.child(f"perm{t}").child("shuffle").rng()
+                    drawn.append((shuffle.permutation(m), shuffle.permutation(n)))
+                given_perms = [(rng.permutation(m), rng.permutation(n))
+                               for _ in range(n_perms)]
+                for perms, out in (
+                    (drawn, permutation_ensemble(base, ds, n_perms, seed)),
+                    (given_perms, permutation_ensemble(base, ds, n_perms, seed,
+                                                       perms=given_perms)),
+                ):
+                    completed, fitted = _loop_average(base, ds, perms)
+                    tol = 1e-9 * np.abs(fitted).max()
+                    where = (case, lam, n_perms)
+                    assert np.abs(out.completed.values - completed).max() <= tol, where
+                    assert np.abs(out.fitted_observed.values - fitted).max() <= tol, where
+                    obs = ds.mask.observed
+                    kept = out.completed.values[obs]
+                    assert kept.tobytes() == ds.observed[obs].tobytes()
+        identity = [(np.arange(m), np.arange(n))]
+        direct = base.run(ds, SEED)
+        once = permutation_ensemble(base, ds, 1, SEED, perms=identity)
+        for got, want in ((once.completed, direct.completed),
+                          (once.fitted_observed, direct.fitted_observed)):
+            assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_featurized_ridge_subclass_keeps_the_loop():
+    ds = _random_ds(12, 6, 0.3, 42)
+    _CountingRidge.calls = 0
+    looped = permutation_ensemble(_CountingRidge("featurized-ridge"), ds, 3, SEED)
+    shared = permutation_ensemble(make_imputer("featurized-ridge"), ds, 3, SEED)
+    assert _CountingRidge.calls == 3
+    tol = 1e-9 * np.abs(looped.fitted_observed.values).max()
+    assert np.abs(looped.completed.values - shared.completed.values).max() <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from imputebench.core import DataMatrix, Mask, apply_mask
+from imputebench.core import DataMatrix, Mask, SeedSpec, apply_mask
+from imputebench.ensemble import permutation_ensemble
 from imputebench.featurize import (
     SingularSystemError,
     build_features,
     ridge_on_features,
     _ridge_fit_predict,
 )
+from imputebench.imputers import make_imputer
 
 
 def _masked(values, indicator):
@@ -163,6 +165,40 @@ def test_ridge_singular_at_zero_penalty_reports():
         ridge_on_features(ft, 0.0)
     preds = ridge_on_features(ft, 1e-6)  # caller retry succeeds
     assert np.all(np.isfinite(preds))
+
+
+def test_permuted_ridge_singular_at_zero_penalty_reports(monkeypatch):
+    rng = np.random.default_rng(15)
+    truth = rng.normal(size=(4, 3))  # the 4x3 case above: the shared block fails
+    ind = np.ones((4, 3), dtype=np.uint8)
+    ind[1, 1] = 0
+    ds = _masked(truth, ind)
+    base = make_imputer("featurized-ridge", ridge_lambda=0.0)
+    perms = [(rng.permutation(4), rng.permutation(3)) for _ in range(3)]
+    seed = SeedSpec(15, "singular")
+    with pytest.raises(SingularSystemError):
+        permutation_ensemble(base, ds, 3, seed)
+    with pytest.raises(SingularSystemError):
+        permutation_ensemble(base, ds, 3, seed, perms=perms)
+
+    # The same whichever solve fails: the shared block (2-D) or the stacked
+    # 2 x 2 Schur complements (3-D).
+    real_solve = np.linalg.solve
+    ok = make_imputer("featurized-ridge", ridge_lambda=1e-6)
+    for failing_ndim in (2, 3):
+        def solve(a, b, failing_ndim=failing_ndim):
+            if np.ndim(a) == failing_ndim:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with pytest.raises(SingularSystemError):
+            permutation_ensemble(ok, ds, 3, seed)
+        with pytest.raises(SingularSystemError):
+            permutation_ensemble(ok, ds, 3, seed, perms=perms)
+        monkeypatch.undo()
+    out = permutation_ensemble(ok, ds, 3, seed)  # caller retry succeeds
+    assert np.all(np.isfinite(out.completed.values))
 
 
 def test_ridge_rejects_negative_penalty():
