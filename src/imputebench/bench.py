@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import DataMatrix, Mask, MaskedDataset, SeedSpec, apply_mask
 from .imputers import EQUIVARIANT_METHODS, ImputationResult, Imputer, knn_peak_bytes
-from .missingness import PATTERN_TAGS, PatternSpec, generate
+from .missingness import MASK_STREAM, PATTERN_TAGS, PatternSpec, generate
 from .scheduler import step as scheduler_step
 from .scheduler import uniform_state
 
@@ -713,6 +713,7 @@ def run_benchmark(
                                             temperature)
     config = {
         "schema_version": SCHEMA_VERSION,
+        "mask_stream": MASK_STREAM,
         "datasets": [d.name for d in datasets],
         "patterns": [
             {"pattern": tag, "overrides": params} for tag, params in norm_patterns

@@ -21,6 +21,7 @@ from .core import DataMatrix, DegenerateMaskError, Mask, SeedSpec
 __all__ = [
     "BanditConfig",
     "CalibrationError",
+    "MASK_STREAM",
     "PatternSpec",
     "PATTERN_DEFAULTS",
     "PATTERN_TAGS",
@@ -42,6 +43,12 @@ __all__ = [
 ]
 
 MAX_RESAMPLE_ATTEMPTS = 16
+# Version of the mask streams, written into each bench report's config.
+# Stream 2 draws the nn-mnar neighborhoods in one batch (``_distinct_draws``);
+# stream 1 called ``rng.choice`` once per cell. Other patterns are unchanged.
+MASK_STREAM = 2
+# Scratch bound of the repeat-check table in ``_distinct_draws``.
+_TAKEN_TABLE_BYTES = 4 << 20
 
 
 class CalibrationError(RuntimeError):
@@ -209,6 +216,34 @@ def _nn_forward(inputs: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarra
     return h.ravel()
 
 
+def _distinct_draws(pool: int, size: int, count: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniformly random ordered tuples of ``size`` distinct
+    integers in [0, pool), shape (count, size): the law of ``count`` calls to
+    ``rng.choice(pool, size, replace=False)``, drawn in one batch.
+
+    Floyd's subset algorithm runs on every tuple at once. Step t draws one
+    integer in [0, top], top = pool - size + t, per tuple; a tuple that
+    already holds the draw takes top instead. Each row is then shuffled.
+    Repeats are looked up in a boolean table over (tuple, candidate) that
+    covers a chunk of tuples at a time, so the draw costs O(count * size)
+    time and about ``_TAKEN_TABLE_BYTES`` of scratch beyond its output.
+    """
+    tops = range(pool - size, pool)
+    draws = np.stack([rng.integers(0, top + 1, count) for top in tops])
+    chunk = max(1, _TAKEN_TABLE_BYTES // pool)
+    taken = np.zeros(min(chunk, count) * pool, dtype=bool)
+    for lo in range(0, count, chunk):
+        block = draws[:, lo:lo + chunk]  # a view: the picks are fixed in place
+        base = np.arange(block.shape[1]) * pool
+        for pick, top in zip(block, tops):
+            pick[taken[base + pick]] = top
+            taken[base + pick] = True
+        taken[base + block] = False  # clear only what this chunk set
+    # in C order: on the transposed layout the network's logits round differently
+    return rng.permuted(draws.T, axis=1, out=np.empty((count, size), dtype=draws.dtype))
+
+
 def _nn_mnar_design(values: np.ndarray, p_missing: float,
                     neighborhood_size_range: tuple[int, int],
                     layer_range: tuple[int, int],
@@ -216,6 +251,10 @@ def _nn_mnar_design(values: np.ndarray, p_missing: float,
                     rng: np.random.Generator):
     """Draw the network, per-cell neighborhoods, and calibrated propensities.
 
+    Each cell's neighborhood is a uniformly random ordered tuple of s
+    distinct candidates from the m + n - 1 cells of its row and column (the
+    cell itself among them). ``_distinct_draws`` draws all m·n tuples in one
+    batch: O(m·n·s) time and about 4 MiB of scratch beyond its (m·n, s) result.
     Returns (observed-propensity matrix, neighborhoods (m*n, s, 2), layers).
     """
     m, n = values.shape
@@ -230,12 +269,10 @@ def _nn_mnar_design(values: np.ndarray, p_missing: float,
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         layers.append((rng.normal(size=(d_in, d_out)), rng.normal(size=d_out)))
 
-    # One draw per cell (i, j) in row-major order. Candidate c < n is cell
+    # One tuple per cell (i, j) in row-major order. Candidate c < n is cell
     # (i, c) in the row; c >= n is a cell in the column, skipping row i so
     # (i, j) is listed once.
-    chosen = np.stack(
-        [rng.choice(m + n - 1, size=size, replace=False) for _ in range(m * n)]
-    )
+    chosen = _distinct_draws(m + n - 1, size, m * n, rng)
     i, j = np.divmod(np.arange(m * n)[:, None], n)
     r = chosen - n
     in_row = chosen < n
@@ -261,7 +298,11 @@ def gen_nn_mnar(
 ) -> Mask:
     """Propensity of each cell is a random network applied to a random
     neighborhood of its row and column, globally calibrated to the target
-    missing rate."""
+    missing rate.
+
+    A cell's neighborhood is a uniformly random ordered tuple of distinct
+    cells from its row and column; every cell's tuple comes from one batched
+    Floyd draw, O(m·n·s) time and about 4 MiB of scratch for size s."""
     if not 0.0 < p_missing < 1.0:
         raise ValueError(f"p_missing must be in (0, 1), got {p_missing}")
     for name, rng_pair in (

@@ -30,7 +30,7 @@ from imputebench.core import DataMatrix, Mask, SeedSpec, apply_mask
 from imputebench.datagen import LfmSpec, sample_lfm
 from imputebench.ensemble import EnsembleSpec, blend
 from imputebench.imputers import ImputationResult, Imputer, make_imputer
-from imputebench.missingness import PATTERN_TAGS, PatternSpec, generate
+from imputebench.missingness import MASK_STREAM, PATTERN_TAGS, PatternSpec, generate
 
 
 def _lfm_record(name, seed, m=30, n=8, k=2):
@@ -699,6 +699,25 @@ def test_emit_report_is_byte_stable(tmp_path):
     p1, _ = emit_report(report, tmp_path / "a")
     p2, _ = emit_report(report, tmp_path / "b")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_report_config_names_the_mask_stream(tmp_path):
+    json_path, _ = emit_report(_small_report(), tmp_path)
+    assert MASK_STREAM == 2
+    assert json.loads(json_path.read_text())["config"]["mask_stream"] == MASK_STREAM
+
+
+def test_nn_mnar_cells_leave_every_other_cell_as_it_is():
+    # each group draws from its own stream, so changing or dropping the
+    # nn-mnar groups moves no cell of another pattern
+    datasets = [_lfm_record("d0", 17)]
+    methods = [make_imputer("col-mean"), make_imputer("soft-impute")]
+    kwargs = dict(methods=methods, n_seeds=2, seed=18)
+    both = run_benchmark(datasets, ["mcar", "nn-mnar", "panel"], **kwargs)
+    alone = run_benchmark(datasets, ["mcar", "panel"], **kwargs)
+    kept = [c for c in both.cells if c["pattern"] != "nn-mnar"]
+    assert len(kept) < len(both.cells)
+    assert json.dumps(kept, sort_keys=True) == json.dumps(alone.cells, sort_keys=True)
 
 
 def test_report_table_layout():

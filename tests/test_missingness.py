@@ -239,8 +239,8 @@ def test_nn_mnar_generates_with_defaults():
 
 def _nn_mnar_design_cell_loop(values, p_missing, neighborhood_size_range,
                               layer_range, width_range, rng):
-    """Per-cell reference: one ``rng.choice`` per cell, each candidate
-    mapped to its (row, column) cell in a Python loop."""
+    """Reference: the same draws as ``_nn_mnar_design``, with each cell's
+    candidates mapped to their (row, column) cells in a Python loop."""
     m, n = values.shape
     size = int(rng.integers(neighborhood_size_range[0], neighborhood_size_range[1] + 1))
     size = max(1, min(size, m + n - 1))
@@ -249,11 +249,11 @@ def _nn_mnar_design_cell_loop(values, p_missing, neighborhood_size_range,
     dims = [size] + [width] * n_hidden + [1]
     layers = [(rng.normal(size=(d_in, d_out)), rng.normal(size=d_out))
               for d_in, d_out in zip(dims[:-1], dims[1:])]
+    candidates = mg._distinct_draws(m + n - 1, size, m * n, rng)
     neighborhoods = np.empty((m * n, size, 2), dtype=np.intp)
     for i in range(m):
         for j in range(n):
-            chosen = rng.choice(m + n - 1, size=size, replace=False)
-            for t, c in enumerate(chosen):
+            for t, c in enumerate(candidates[i * n + j]):
                 if c < n:
                     neighborhoods[i * n + j, t] = (i, c)
                 else:
@@ -264,11 +264,15 @@ def _nn_mnar_design_cell_loop(values, p_missing, neighborhood_size_range,
     return mg._sigmoid(logits + shift).reshape(m, n), neighborhoods, layers
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (7, 1), (5, 4), (30, 12), (60, 40)])
+NN_SHAPES = [(1, 1), (1, 6), (7, 1), (5, 4), (30, 12), (60, 40)]
+NN_SIZES = ((1, 2), (3, 8), (20, 30))  # several clamp s to m + n - 1
+
+
+@pytest.mark.parametrize("shape", NN_SHAPES)
 def test_nn_mnar_design_matches_cell_loop(shape):
     X = _random_matrix(*shape, 11)
     for seed in (0, 1, 2):
-        for sizes in ((1, 2), (3, 8), (20, 30)):
+        for sizes in NN_SIZES:
             rng_new, rng_old = (SeedSpec(seed, "nn-loop").rng() for _ in range(2))
             p_new, hoods_new, layers_new = mg._nn_mnar_design(
                 X.values, 0.4, sizes, (1, 3), (4, 16), rng_new)
@@ -280,6 +284,81 @@ def test_nn_mnar_design_matches_cell_loop(shape):
             for (w_new, b_new), (w_old, b_old) in zip(layers_new, layers_old):
                 assert np.array_equal(w_new, w_old) and np.array_equal(b_new, b_old)
             assert rng_new.random() == rng_old.random()  # same stream position
+
+
+@pytest.mark.parametrize("shape", NN_SHAPES)
+def test_nn_mnar_neighborhoods_are_distinct_cells_of_the_row_and_column(shape):
+    # the pool is the m + n - 1 cells of the row and column, the cell itself among them
+    m, n = shape
+    pool = m + n - 1
+    X = _random_matrix(m, n, 12)
+    for seed in (0, 1, 2):
+        for lo, hi in NN_SIZES:
+            rng = SeedSpec(seed, "nn-distinct").rng()
+            _, hoods, _ = mg._nn_mnar_design(X.values, 0.4, (lo, hi), (1, 1), (4, 4), rng)
+            size = hoods.shape[1]
+            assert min(lo, pool) <= size <= min(hi, pool)
+            assert hoods.shape == (m * n, size, 2)
+            i, j = np.divmod(np.arange(m * n), n)
+            rows, cols = hoods[:, :, 0], hoods[:, :, 1]
+            in_row = (rows == i[:, None]) & (cols >= 0) & (cols < n)
+            in_col = (cols == j[:, None]) & (rows >= 0) & (rows < m)
+            assert (in_row | in_col).all()
+            flat = np.sort(rows * n + cols, axis=1)
+            assert (np.diff(flat, axis=1) > 0).all()  # no cell twice in one neighborhood
+            candidates = mg._distinct_draws(pool, size, m * n, SeedSpec(seed, "d").rng())
+            assert candidates.shape == (m * n, size)
+            assert candidates.min() >= 0 and candidates.max() < pool
+            assert (np.diff(np.sort(candidates, axis=1), axis=1) > 0).all()
+
+
+def _tuple_chi2_pvalue(draws, pool, size):
+    """Pearson chi-square p-value of the draws' ordered tuples against the
+    uniform law over all pool! / (pool - size)! of them."""
+    n_tuples = math.perm(pool, size)
+    codes = draws @ (pool ** np.arange(size))
+    _, counts = np.unique(codes, return_counts=True)
+    assert counts.size == n_tuples  # every ordered tuple shows up
+    expected = draws.shape[0] / n_tuples
+    stat = ((counts - expected) ** 2 / expected).sum()
+    return chi2.sf(stat, n_tuples - 1)
+
+
+@pytest.mark.parametrize("pool, size", [(5, 3), (5, 5), (4, 4)])
+def test_distinct_draws_are_uniform_over_ordered_tuples(pool, size):
+    # 60 ordered 3-tuples from a pool of 5, and full permutations when s = pool
+    n_tuples = math.perm(pool, size)
+    draws = mg._distinct_draws(pool, size, 200 * n_tuples, SeedSpec(5, "floyd").rng())
+    assert _tuple_chi2_pvalue(draws, pool, size) > 1e-3
+    # each position is uniform over the pool on its own as well
+    for t in range(size):
+        counts = np.bincount(draws[:, t], minlength=pool)
+        expected = draws.shape[0] / pool
+        assert chi2.sf(((counts - expected) ** 2 / expected).sum(), pool - 1) > 1e-3
+
+
+def test_distinct_draws_across_table_chunks(monkeypatch):
+    # a table of a few rows forces many chunks; the draw must not depend on it
+    want = mg._distinct_draws(9, 6, 500, SeedSpec(3, "chunk").rng())
+    monkeypatch.setattr(mg, "_TAKEN_TABLE_BYTES", 4 * 9 + 5)
+    got = mg._distinct_draws(9, 6, 500, SeedSpec(3, "chunk").rng())
+    assert np.array_equal(got, want)
+    assert (np.diff(np.sort(got, axis=1), axis=1) > 0).all()
+
+
+def test_nn_mnar_design_is_reproducible_from_its_seed():
+    X = _random_matrix(30, 12, 13)
+    runs = []
+    for _ in range(2):
+        rng = SeedSpec(21, "nn-repeat").rng()
+        p_obs, hoods, layers = mg._nn_mnar_design(X.values, 0.4, (3, 8), (1, 3), (4, 16), rng)
+        runs.append((p_obs, hoods, layers, rng.random(4)))
+    (p_a, h_a, l_a, tail_a), (p_b, h_b, l_b, tail_b) = runs
+    assert np.array_equal(h_a, h_b) and np.array_equal(p_a, p_b)
+    assert len(l_a) == len(l_b)
+    for (w_a, b_a), (w_b, b_b) in zip(l_a, l_b):
+        assert np.array_equal(w_a, w_b) and np.array_equal(b_a, b_b)
+    assert np.array_equal(tail_a, tail_b)  # same stream position after the call
 
 
 # ---------------------------------------------------------------------------
