@@ -16,6 +16,7 @@ import numpy as np
 from . import bench as bench_mod
 from .core import DataMatrix, Mask, MaskedDataset, SeedSpec
 from .datagen import LfmSpec, parse_distribution, sample_lfm
+from .featurize import SingularSystemError
 from .imputers import METHOD_DEFAULTS, METHOD_TAGS, make_imputer
 from .missingness import PATTERN_DEFAULTS, PATTERN_TAGS, PatternSpec, generate
 
@@ -309,7 +310,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    # A singular ridge system is the user's penalty setting, not a bug.
+    except (ValueError, OSError, json.JSONDecodeError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

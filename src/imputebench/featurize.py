@@ -14,6 +14,15 @@ the same consumer also averages its fits over k permutations in one solve:
 the Gram block of the other columns is shared, and each permutation's index
 columns take a 2 x 2 Schur complement. This agrees with k separate fits to
 within 1e-9 of the largest entry. The plain fit is the case k = 1.
+
+At a positive penalty the shared block is solved in the row space of each
+side block, not in its full column space: an m x 2n (or n x 2m) block is
+replaced by a square factor with the same row Gram, so the shared system has
+min(m, 2n) + min(n, 2m) columns instead of 2m + 2n (120 instead of 380 on a
+150 x 40 matrix). This is an exact reformulation, since the optimal
+coefficients lie in that row space when the penalty is positive. At a zero
+penalty the shared block is singular in exact arithmetic whatever the
+shape, and the full-width system is solved as it is.
 """
 
 from __future__ import annotations
@@ -112,6 +121,19 @@ def _side_block(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return _centred(np.column_stack([np.where(missing, fill, x), missing]), weight)
 
 
+def _row_space(block: np.ndarray) -> np.ndarray:
+    """A factor of block with the same row Gram ``block @ block.T`` and at
+    most as many columns as rows.
+
+    A wider-than-tall block (r x c, c > r) becomes ``block @ Q = R.T`` from
+    ``block.T = QR``, r x r; any other block is returned as it is. Q has
+    orthonormal columns, so an isotropic penalty on the new coefficients is
+    the penalty on ``Q @ coef``, and centred columns stay centred.
+    """
+    r, c = block.shape
+    return block if c <= r else np.linalg.qr(block.T, mode="r").T
+
+
 def _index_columns(positions: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """The z-scored, centred index column of each assignment: positions is
     (rows, k), each column the rows' positions in one frame."""
@@ -154,6 +176,15 @@ def _ridge_fit_predict(
     The centred design row of cell (i, j) is [R[i], a[i], C[j], c[j]], with
     R and C from _side_block and a and c the index columns, so every
     prediction is additive and the average is one ``np.add.outer``.
+
+    Predictions depend on the coefficients of R and C only through R @ beta_R
+    and C @ beta_C. When ridge_lambda > 0 the optimum lies in the row space
+    of each block, so a block wider than tall is replaced by an r x r factor
+    with the same row Gram (_row_space); the penalty and the centring carry
+    over unchanged and the shared system shrinks from 2m + 2n columns to
+    min(m, 2n) + min(n, 2m). At ridge_lambda = 0 the blocks keep their full
+    width and the fit is computed as it always was: that system is singular
+    in exact arithmetic, and whether solve reports it depends on rounding.
     """
     if ridge_lambda < 0:
         raise ValueError(f"ridge penalty must be >= 0, got {ridge_lambda}")
@@ -166,6 +197,8 @@ def _ridge_fit_predict(
     k = len(positions)
     row_w, col_w = train.sum(axis=1), train.sum(axis=0)
     rows, cols = _side_block(x, row_w), _side_block(x.T, col_w)
+    if ridge_lambda > 0:
+        rows, cols = _row_space(rows), _row_space(cols)
     a_r = _index_columns(np.column_stack([p for p, _ in positions]), row_w)
     a_c = _index_columns(np.column_stack([p for _, p in positions]), col_w)
     y_mean = x[train].mean()

@@ -135,6 +135,29 @@ def test_impute_mask_data_consistency_check(tmp_path, capsys):
     assert "observed" in capsys.readouterr().err
 
 
+def test_impute_singular_ridge_exits_two(tmp_path, capsys, monkeypatch):
+    # the 4x3 case of test_ridge_singular_at_zero_penalty_reports; whether
+    # solve reports a singular system at ridge_lambda=0 depends on rounding,
+    # so the failure is made deterministic
+    rng = np.random.default_rng(15)
+    src, mask_path = tmp_path / "d.csv", tmp_path / "m.csv"
+    save_csv(rng.normal(size=(4, 3)), src)
+    mask_path.write_text("1,1,1\n1,0,1\n1,1,1\n1,1,1\n")
+
+    def solve(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    code = main(["impute", "--data", str(src), "--mask", str(mask_path),
+                 "--method", "featurized-ridge", "--ridge-lambda", "0",
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ridge_lambda" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_impute_ragged_mask_exits_two_naming_the_row(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text("a,b,c\n1,2,3\n4,5,6\n")

@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 
 import numpy as np
@@ -10,6 +11,8 @@ from imputebench.featurize import (
     build_features,
     ridge_on_features,
     _ridge_fit_predict,
+    _row_space,
+    _side_block,
 )
 from imputebench.imputers import make_imputer
 
@@ -245,8 +248,9 @@ def _explicit_ridge(ft, ridge_lambda):
 
 def test_ridge_matches_explicit_design_and_is_additive():
     rng = np.random.default_rng(17)
-    for case in range(100):
-        m, n = int(rng.integers(2, 31)), int(rng.integers(2, 21))
+    # 150x40 reduces only the column block, 8x40 only the row block
+    for case, shape in enumerate([None] * 100 + [(150, 40), (8, 40)]):
+        m, n = shape or (int(rng.integers(2, 31)), int(rng.integers(2, 21)))
         ind = (rng.random((m, n)) < rng.uniform(0.3, 0.95)).astype(np.uint8)
         if case == 0:
             ind[:, -1] = 0  # a column with no observed entry
@@ -266,3 +270,58 @@ def test_ridge_matches_explicit_design_and_is_additive():
             resid = (pred - pred.mean(axis=0) - pred.mean(axis=1)[:, None]
                      + pred.mean())
             assert np.abs(resid).max() <= 1e-9, (case, m, n, lam)
+
+
+def test_shared_solve_has_the_row_space_width(monkeypatch):
+    real_solve = np.linalg.solve
+    sizes = []
+
+    def solve(a, b):
+        if np.ndim(a) == 2:
+            sizes.append(a.shape)
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    rng = np.random.default_rng(19)
+    # 150x40: only the column block reduces; 8x40: only the row block;
+    # 10x8: both
+    for m, n in [(150, 40), (8, 40), (10, 8)]:
+        ind = (rng.random((m, n)) < 0.7).astype(np.uint8)
+        ind[0, 0] = 1
+        ft = build_features(_masked(rng.normal(size=(m, n)), ind))
+        width = min(m, 2 * n) + min(n, 2 * m)
+        assert width < 2 * m + 2 * n
+        sizes.clear()
+        _ridge_fit_predict(ft, 1e-3)
+        assert sizes == [(width, width)], (m, n)
+        sizes.clear()
+        with contextlib.suppress(SingularSystemError):  # singular in exact arithmetic
+            _ridge_fit_predict(ft, 0.0)
+        assert sizes == [(2 * m + 2 * n, 2 * m + 2 * n)], (m, n)
+
+
+def test_row_space_keeps_the_row_gram_and_the_centring():
+    rng = np.random.default_rng(20)
+    for case, (m, n) in enumerate([(3, 10), (10, 3), (7, 7), (40, 12), (150, 40),
+                                   (8, 40), (6, 5), (6, 5), (6, 5)]):
+        ind = rng.random((m, n)) < 0.7
+        x = rng.normal(size=(m, n))
+        if case == 6:
+            x[1], ind[1] = x[0], ind[0]  # duplicate rows
+        if case == 7:
+            ind[:, 2] = True  # an all-zero indicator column in the row block
+        if case == 8:
+            ind[3] = False  # a row with no observed entry
+        ind[0, 0] = True
+        x = np.where(ind, x, np.nan)
+        for side, train in ((x, ind), (x.T, ind.T)):
+            weight = train.sum(axis=1)
+            block = _side_block(side, weight)
+            reduced = _row_space(block)
+            r, c = block.shape
+            assert reduced.shape == (r, min(r, c)), (case, r, c)
+            assert c > r or reduced is block
+            gram = block @ block.T
+            assert np.abs(reduced @ reduced.T - gram).max() <= 1e-12 * np.abs(gram).max()
+            scale = weight.sum() * np.abs(block).max()
+            assert np.abs(weight @ reduced).max() <= 1e-12 * scale, (case, r, c)
