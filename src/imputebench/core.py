@@ -86,7 +86,7 @@ class Mask:
         arr = np.array(self.indicator, copy=True, order="C")
         if arr.ndim != 2:
             raise ValueError(f"mask must be 2-D, got ndim={arr.ndim}")
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("mask entries must be 0 or 1")
         arr = np.ascontiguousarray(arr.astype(np.uint8))
         arr.setflags(write=False)

@@ -65,6 +65,12 @@ def _mean_fill(ds: MaskedDataset) -> np.ndarray:
     return np.where(ds.mask.observed, ds.observed, means[None, :])
 
 
+# The imputers' small products go through np.dot, not @: numpy's @ holds the
+# GIL for the whole BLAS call when its output is small (a 20x20 Gram or a
+# scalar), which keeps bench --jobs threads from overlapping. np.dot releases
+# it and returns the same bits.
+
+
 def _centered_ridge(
     a: np.ndarray, y: np.ndarray, lam: float
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -75,9 +81,9 @@ def _centered_ridge(
     mu = a.mean(axis=0)
     ym = y.mean()
     a_c = a - mu
-    gram = a_c.T @ a_c + lam * np.eye(a.shape[1])
-    beta = np.linalg.solve(gram, a_c.T @ (y - ym))
-    return lambda b: (b - mu) @ beta + ym
+    gram = np.dot(a_c.T, a_c) + lam * np.eye(a.shape[1])
+    beta = np.linalg.solve(gram, np.dot(a_c.T, y - ym))
+    return lambda b: np.dot(b - mu, beta) + ym
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +173,11 @@ def _soft_threshold(w: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     and 0 on soft-impute iterates.
     """
     tall = w.shape[0] >= w.shape[1]
-    evals, vecs = np.linalg.eigh(w.T @ w if tall else w @ w.T)
+    evals, vecs = np.linalg.eigh(np.dot(w.T, w) if tall else np.dot(w, w.T))
     s = np.sqrt(np.maximum(evals[::-1], 0.0))
     keep = s > lam
     v = vecs[:, ::-1][:, keep]
-    op = (v * ((s[keep] - lam) / s[keep])) @ v.T
+    op = np.dot(v * ((s[keep] - lam) / s[keep]), v.T)
     return (w @ op if tall else op @ w), np.maximum(s - lam, 0.0)
 
 
@@ -181,7 +187,7 @@ def _soft_objective(
     """The objective at z, given z at the observed cells (z_obs, in the order
     of the observed values x_obs) and the singular values s of z."""
     resid = x_obs - z_obs
-    return 0.5 * float(resid @ resid) + lam * float(s.sum())
+    return 0.5 * float(np.dot(resid, resid)) + lam * float(s.sum())
 
 
 def impute_soft(

@@ -78,28 +78,51 @@ def calibrate_intercept(
     + b) and sigmoid(max(logits) + b), a side that misses the target moves out
     to logit(target) - max(logits) or logit(target) - min(logits).
     """
+    flat = np.asarray(logits, dtype=float).reshape(1, -1)
+    return float(_calibrate_rows(flat, target_mean, tol)[0])
+
+
+def _calibrate_rows(logits: np.ndarray, target_mean: float,
+                    tol: float = 1e-6) -> np.ndarray:
+    """``calibrate_intercept`` for each row of a 2-D array, in one bisection.
+
+    Every row takes exactly the steps of its own scalar search (same
+    bracket, same midpoints, same row mean), and a row is frozen once it
+    is within tol, so each intercept is bit-equal to the one-row call.
+    Raises CalibrationError if any row does not converge.
+    """
     if not 0.0 < target_mean < 1.0:
         raise ValueError(f"target mean must be in (0, 1), got {target_mean}")
-    logits = np.asarray(logits, dtype=float).ravel()
-    lo, hi = -30.0, 30.0
+    # C order: each row's mean is then the same pairwise sum as a 1-D mean
+    logits = np.ascontiguousarray(logits, dtype=float)
+    rows = logits.shape[0]
 
-    def mean_at(b: float) -> float:
-        return float(_sigmoid(logits + b).mean())
+    def mean_at(idx: np.ndarray, b: np.ndarray) -> np.ndarray:
+        sub = logits if idx.size == rows else logits[idx]
+        return _sigmoid(sub + b[:, None]).mean(axis=1)
 
+    everyone = np.arange(rows)
+    lo, hi = np.full(rows, -30.0), np.full(rows, 30.0)
     logit_target = math.log(target_mean / (1.0 - target_mean))
-    if mean_at(lo) > target_mean + tol:
-        lo = logit_target - float(logits.max())
-    if mean_at(hi) < target_mean - tol:
-        hi = logit_target - float(logits.min())
+    widen = mean_at(everyone, lo) > target_mean + tol
+    if widen.any():
+        lo[widen] = logit_target - logits[widen].max(axis=1)
+    widen = mean_at(everyone, hi) < target_mean - tol
+    if widen.any():
+        hi[widen] = logit_target - logits[widen].min(axis=1)
+    out = np.empty(rows)
+    active = everyone
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = mean_at(mid)
-        if abs(val - target_mean) <= tol:
-            return mid
-        if val < target_mean:
-            lo = mid
-        else:
-            hi = mid
+        mid = 0.5 * (lo[active] + hi[active])
+        val = mean_at(active, mid)
+        hit = np.abs(val - target_mean) <= tol
+        out[active[hit]] = mid[hit]
+        below = val < target_mean
+        lo[active[below]] = mid[below]
+        hi[active[~below]] = mid[~below]
+        active = active[~hit]
+        if not active.size:
+            return out
     raise CalibrationError("bisection failed to reach the requested tolerance")
 
 
@@ -147,8 +170,9 @@ def _col_mar_design(values: np.ndarray, p_missing: float, predictor_fraction: fl
                     rng: np.random.Generator):
     """Draw predictor columns and per-column logistic models.
 
-    Returns (predictor column indices, masked column indices, weight list,
-    intercept list, missing-propensity matrix for the masked columns).
+    Returns (predictor column indices, masked column indices, weights (one
+    row per masked column), intercepts, missing-propensity matrix for the
+    masked columns).
     """
     m, n = values.shape
     n_pred = math.ceil(predictor_fraction * n)
@@ -159,14 +183,11 @@ def _col_mar_design(values: np.ndarray, p_missing: float, predictor_fraction: fl
     predictors = np.sort(rng.choice(n, size=n_pred, replace=False))
     masked_cols = np.setdiff1d(np.arange(n), predictors)
     x_pred = values[:, predictors]
-    weights, intercepts, p_miss = [], [], np.empty((m, masked_cols.size))
-    for idx, _ in enumerate(masked_cols):
-        w = rng.normal(size=n_pred)
-        score = _zscore(x_pred @ w)
-        b = calibrate_intercept(score, p_missing)
-        weights.append(w)
-        intercepts.append(b)
-        p_miss[:, idx] = _sigmoid(score + b)
+    # one draw of all weights: the same stream as one draw per column
+    weights = rng.normal(size=(masked_cols.size, n_pred))
+    scores = np.array([_zscore(x_pred @ w) for w in weights])
+    intercepts = _calibrate_rows(scores, p_missing)
+    p_miss = _sigmoid(scores + intercepts[:, None]).T
     return predictors, masked_cols, weights, intercepts, p_miss
 
 
@@ -331,12 +352,9 @@ def _self_masking_design(values: np.ndarray, p_missing: float,
                          target_cols: np.ndarray, rng: np.random.Generator):
     """Returns (slopes, intercepts, missing-propensity matrix for targets)."""
     alphas = rng.choice(SELF_MASKING_COEFFS, size=target_cols.size)
-    intercepts = np.empty(target_cols.size)
-    p_miss = np.empty((values.shape[0], target_cols.size))
-    for idx, j in enumerate(target_cols):
-        logits = alphas[idx] * values[:, j]
-        intercepts[idx] = calibrate_intercept(logits, p_missing)
-        p_miss[:, idx] = _sigmoid(logits + intercepts[idx])
+    logits = alphas[:, None] * values[:, target_cols].T
+    intercepts = _calibrate_rows(logits, p_missing)
+    p_miss = _sigmoid(logits + intercepts[:, None]).T
     return alphas, intercepts, p_miss
 
 

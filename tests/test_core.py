@@ -46,6 +46,20 @@ def test_mask_validation_and_index_sets():
         Mask([[1, 2]])
 
 
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+def test_mask_rejects_entries_other_than_zero_and_one(bad):
+    with pytest.raises(ValueError, match="0 or 1"):
+        Mask(np.array([[1.0, 0.0], [bad, 1.0]]))
+
+
+def test_mask_accepts_zero_one_in_any_numeric_or_bool_dtype():
+    want = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+    for arr in (want.astype(float), want.astype(np.int64), want.astype(bool)):
+        mask = Mask(arr)
+        assert mask.indicator.dtype == np.uint8
+        assert np.array_equal(mask.indicator, want)
+
+
 def test_propensity_range_enforced():
     PropensityMatrix([[0.0, 1.0]])
     with pytest.raises(ValueError):

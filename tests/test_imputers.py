@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from imputebench.core import DataMatrix, Mask, SeedSpec, apply_mask
 from imputebench.datagen import LfmSpec, sample_lfm
+from imputebench import imputers
 from imputebench.imputers import (
     METHOD_TAGS,
     _centered_ridge,
@@ -452,6 +453,65 @@ def test_soft_nonconvergence_is_reported_not_raised():
     res = impute_soft(ds, lam=0.01, max_iter=2, tol=1e-12)
     assert res.diagnostics["converged"] is False
     assert res.diagnostics["iterations"] == 2
+
+
+# The imputers route their small products through np.dot, which releases the
+# GIL where @ does not. These references are the same helpers written with @;
+# each imputer must return the same bits with either.
+
+
+def _soft_threshold_matmul(w, lam):
+    tall = w.shape[0] >= w.shape[1]
+    evals, vecs = np.linalg.eigh(w.T @ w if tall else w @ w.T)
+    s = np.sqrt(np.maximum(evals[::-1], 0.0))
+    keep = s > lam
+    v = vecs[:, ::-1][:, keep]
+    op = (v * ((s[keep] - lam) / s[keep])) @ v.T
+    return (w @ op if tall else op @ w), np.maximum(s - lam, 0.0)
+
+
+def _soft_objective_matmul(x_obs, z_obs, lam, s):
+    resid = x_obs - z_obs
+    return 0.5 * float(resid @ resid) + lam * float(s.sum())
+
+
+def _centered_ridge_matmul(a, y, lam):
+    if a.shape[1] == 0:
+        mean = y.mean()
+        return lambda b: np.full(b.shape[0], mean)
+    mu = a.mean(axis=0)
+    ym = y.mean()
+    a_c = a - mu
+    gram = a_c.T @ a_c + lam * np.eye(a.shape[1])
+    beta = np.linalg.solve(gram, a_c.T @ (y - ym))
+    return lambda b: (b - mu) @ beta + ym
+
+
+def _same_result(a, b):
+    assert a.completed.values.tobytes() == b.completed.values.tobytes()
+    assert a.fitted_observed.values.tobytes() == b.fitted_observed.values.tobytes()
+    assert a.diagnostics == b.diagnostics
+
+
+@pytest.mark.parametrize("shape", [(1000, 20), (150, 40), (60, 15), (15, 40), (20, 300)])
+def test_soft_products_match_matmul_reference_bitwise(shape, monkeypatch):
+    m, n = shape
+    cases = [(_random_ds(m, n, 0.4, 90 + m, rank=3), None),
+             (_random_ds(m, n, 0.6, 91 + m), 0.5)]
+    got = [impute_soft(ds, lam=lam) for ds, lam in cases]
+    monkeypatch.setattr(imputers, "_soft_threshold", _soft_threshold_matmul)
+    monkeypatch.setattr(imputers, "_soft_objective", _soft_objective_matmul)
+    for res, (ds, lam) in zip(got, cases):
+        _same_result(res, impute_soft(ds, lam=lam))
+
+
+@pytest.mark.parametrize("shape", [(1000, 20), (150, 40), (50, 12), (9, 9)])
+def test_ice_products_match_matmul_reference_bitwise(shape, monkeypatch):
+    m, n = shape
+    ds = _random_ds(m, n, 0.4, 80 + m, rank=2)
+    got = impute_ice(ds, max_iter=20, seed=SEED)
+    monkeypatch.setattr(imputers, "_centered_ridge", _centered_ridge_matmul)
+    _same_result(got, impute_ice(ds, max_iter=20, seed=SEED))
 
 
 # ---------------------------------------------------------------------------

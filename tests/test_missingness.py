@@ -104,6 +104,59 @@ def test_calibrate_keeps_the_default_bracket_when_it_holds_the_root():
     assert mg.calibrate_intercept(logits, 0.3) == mid
 
 
+def _calibrate_scalar_reference(logits, target, tol=1e-6):
+    """The one-set bisection in plain Python floats: the search that
+    ``_calibrate_rows`` runs on every row at once."""
+    logits = np.asarray(logits, dtype=float).ravel()
+    lo, hi = -30.0, 30.0
+    mean_at = lambda b: float(mg._sigmoid(logits + b).mean())  # noqa: E731
+    logit_target = math.log(target / (1.0 - target))
+    if mean_at(lo) > target + tol:
+        lo = logit_target - float(logits.max())
+    if mean_at(hi) < target - tol:
+        hi = logit_target - float(logits.min())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        val = mean_at(mid)
+        if abs(val - target) <= tol:
+            return mid
+        lo, hi = (mid, hi) if val < target else (lo, mid)
+    raise mg.CalibrationError("no convergence")
+
+
+def test_calibrate_rows_equals_the_scalar_search_bitwise():
+    rng = np.random.default_rng(41)
+    widened = {"lo": 0, "hi": 0}
+    for case in range(60):
+        rows, width = int(rng.integers(1, 30)), int(rng.choice([1, 7, 150, 1000]))
+        scale = float(rng.choice([0.5, 3.0, 50.0]))
+        logits = scale * rng.normal(size=(rows, width))
+        logits += scale * rng.normal(size=(rows, 1))  # shift some rows past +-30
+        if case % 3 == 0:
+            logits *= 50.0  # raw values x50: exp overflows on some entries
+        target = float(rng.uniform(0.05, 0.95))
+        got = mg._calibrate_rows(logits, target)
+        for row, b in zip(logits, got):
+            want = _calibrate_scalar_reference(row, target)
+            assert b == want == mg.calibrate_intercept(row, target)
+            widened["lo"] += mg._sigmoid(row - 30.0).mean() > target + 1e-6
+            widened["hi"] += mg._sigmoid(row + 30.0).mean() < target - 1e-6
+    assert widened["lo"] > 10 and widened["hi"] > 10
+
+
+def test_calibrate_rows_raises_when_a_row_cannot_converge():
+    # 200 halvings of a 1e300-wide bracket never come within tol
+    stuck = np.array([-1e300, 1e300])
+    with pytest.raises(mg.CalibrationError):
+        mg.calibrate_intercept(stuck, 0.3)
+    with pytest.raises(mg.CalibrationError):
+        _calibrate_scalar_reference(stuck, 0.3)
+    with pytest.raises(mg.CalibrationError):
+        mg._calibrate_rows(np.stack([np.zeros(2), stuck, np.ones(2)]), 0.3)
+    with pytest.raises(ValueError):
+        mg._calibrate_rows(np.zeros((2, 3)), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # MCAR
 # ---------------------------------------------------------------------------
@@ -403,6 +456,71 @@ def test_self_masking_direction_follows_slope_sign():
         if (top > bottom) == (alphas[0] > 0):
             agree += 1
     assert agree >= 45
+
+
+def _self_masking_by_column(values, p_missing, targets, rng):
+    """Self-masking's design with one scalar calibration per column."""
+    alphas = rng.choice(mg.SELF_MASKING_COEFFS, size=targets.size)
+    intercepts = np.empty(targets.size)
+    p_miss = np.empty((values.shape[0], targets.size))
+    for idx, j in enumerate(targets):
+        logits = alphas[idx] * values[:, j]
+        intercepts[idx] = mg.calibrate_intercept(logits, p_missing)
+        p_miss[:, idx] = mg._sigmoid(logits + intercepts[idx])
+    return alphas, intercepts, p_miss
+
+
+def _col_mar_by_column(values, p_missing, predictor_fraction, rng):
+    """Col-MAR's design with one weight draw and one scalar calibration per
+    masked column."""
+    m, n = values.shape
+    n_pred = math.ceil(predictor_fraction * n)
+    predictors = np.sort(rng.choice(n, size=n_pred, replace=False))
+    masked_cols = np.setdiff1d(np.arange(n), predictors)
+    weights, intercepts = [], []
+    p_miss = np.empty((m, masked_cols.size))
+    for idx in range(masked_cols.size):
+        w = rng.normal(size=n_pred)
+        score = mg._zscore(values[:, predictors] @ w)
+        intercepts.append(mg.calibrate_intercept(score, p_missing))
+        weights.append(w)
+        p_miss[:, idx] = mg._sigmoid(score + intercepts[-1])
+    return predictors, masked_cols, weights, intercepts, p_miss
+
+
+@pytest.mark.parametrize("shape", [(150, 40), (1000, 20)])
+def test_column_calibrated_designs_match_the_per_column_loop(shape):
+    m, n = shape
+    for s in range(4):
+        X = sample_lfm(LfmSpec(m, n, 3), SeedSpec(s, "percol"))
+        values = X.values * (50.0 if s == 3 else 1.0)  # x50: widened brackets
+        subset = np.unique(np.random.default_rng(s).choice(n, size=n // 3))
+        for targets in (np.arange(n), subset):
+            seed = SeedSpec(s, "sm-percol")
+            want = _self_masking_by_column(values, 0.4, targets, seed.rng())
+            got = mg._self_masking_design(values, 0.4, targets, seed.rng())
+            for a, b in zip(got, want):
+                assert a.tobytes() == np.ascontiguousarray(b).tobytes()
+            rng = seed.rng()
+            p_miss = _self_masking_by_column(values, 0.4, targets, rng)[2]
+            indicator = np.ones((m, n), dtype=np.uint8)
+            indicator[:, targets] = rng.random((m, targets.size)) >= p_miss
+            mask = mg.gen_self_masking(DataMatrix(values), 0.4,
+                                       target_cols=list(targets), seed=seed)
+            assert np.array_equal(mask.indicator, indicator)
+        for fraction in (0.05, 0.3):
+            seed = SeedSpec(s, "colmar-percol")
+            rng_got, rng_want = seed.rng(), seed.rng()
+            got = mg._col_mar_design(values, 0.4, fraction, rng_got)
+            want = _col_mar_by_column(values, 0.4, fraction, rng_want)
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            u = rng_want.random((m, want[1].size))
+            assert np.array_equal(rng_got.random(u.shape), u)  # same stream position
+            indicator = np.ones((m, n), dtype=np.uint8)
+            indicator[:, want[1]] = u >= want[4]
+            mask = mg.gen_col_mar(DataMatrix(values), 0.4, fraction, seed=seed)
+            assert np.array_equal(mask.indicator, indicator)
 
 
 def test_self_masking_untargeted_columns_stay_observed():
