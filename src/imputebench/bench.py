@@ -446,6 +446,10 @@ def _normalize_patterns(
                 f"pattern {tag!r} with p_missing=0 produces no missing entries"
             )
         out.append((tag, params))
+    tags = [tag for tag, _ in out]
+    if len(set(tags)) != len(tags):
+        # duplicate tags would share group seed streams and report keys
+        raise ValueError(f"pattern tags must be unique, got {tags}")
     return out
 
 

@@ -7,6 +7,7 @@ benchmark finished but had to drop groups or record method failures.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .core import DataMatrix, Mask, MaskedDataset, SeedSpec
+from .core import Mask, MaskedDataset, SeedSpec, missing_fraction
 from .datagen import LfmSpec, parse_distribution, sample_lfm
 from .featurize import SingularSystemError
 from .imputers import METHOD_DEFAULTS, METHOD_TAGS, make_imputer
@@ -38,6 +39,17 @@ def _parse_cols(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated column indices, got {text!r}"
         ) from None
+
+
+def _pattern_flag(key: str, default) -> dict:
+    """How a ``mask`` flag parses, read off the pattern parameter's default."""
+    if key == "target_cols":
+        return {"type": _parse_cols, "metavar": "J1,J2,..."}
+    if isinstance(default, tuple):
+        return {"type": _parse_range, "metavar": "LO:HI"}
+    if isinstance(default, bool):
+        return {"action": "store_const", "const": True}
+    return {"type": type(default)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,36 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     mask.add_argument("--sidecar", default=None,
                       help="parameters JSON path (default: <out>.json)")
     hp = mask.add_argument_group("pattern hyperparameters (pattern-specific)")
-    hp.add_argument("--p-missing", type=float, dest="p_missing")
-    hp.add_argument("--predictor-fraction", type=float, dest="predictor_fraction")
-    hp.add_argument("--neighborhood-size-range", type=_parse_range,
-                    dest="neighborhood_size_range", metavar="LO:HI")
-    hp.add_argument("--layer-range", type=_parse_range, dest="layer_range",
-                    metavar="LO:HI")
-    hp.add_argument("--width-range", type=_parse_range, dest="width_range",
-                    metavar="LO:HI")
-    hp.add_argument("--target-cols", type=_parse_cols, dest="target_cols",
-                    metavar="J1,J2,...")
-    hp.add_argument("--q-censor", type=float, dest="q_censor")
-    hp.add_argument("--q-thresh", type=float, dest="q_thresh")
-    hp.add_argument("--alpha", type=float, dest="alpha")
-    hp.add_argument("--eps", type=float, dest="eps")
-    hp.add_argument("--k-low", type=int, dest="k_low")
-    hp.add_argument("--k-high", type=int, dest="k_high")
-    hp.add_argument("--n-row-clusters", type=int, dest="n_row_clusters")
-    hp.add_argument("--n-col-clusters", type=int, dest="n_col_clusters")
-    hp.add_argument("--tau-r", type=float, dest="tau_r")
-    hp.add_argument("--tau-c", type=float, dest="tau_c")
-    hp.add_argument("--eps-std", type=float, dest="eps_std")
-    hp.add_argument("--f-cheap", type=float, dest="f_cheap")
-    hp.add_argument("--beta", type=float, dest="beta")
-    hp.add_argument("--n-row-blocks", type=int, dest="n_row_blocks")
-    hp.add_argument("--n-col-blocks", type=int, dest="n_col_blocks")
-    hp.add_argument("--algorithm", dest="algorithm")
-    hp.add_argument("--epsilon", type=float, dest="epsilon")
-    hp.add_argument("--epsilon-decay", type=float, dest="epsilon_decay")
-    hp.add_argument("--pooling", action="store_const", const=True, dest="pooling")
-    hp.add_argument("--reward-noise-scale", type=float, dest="reward_noise_scale")
+    first_seen: dict = {}
+    for params in PATTERN_DEFAULTS.values():
+        for key, default in params.items():
+            first_seen.setdefault(key, default)
+    for key, default in first_seen.items():
+        hp.add_argument("--" + key.replace("_", "-"), **_pattern_flag(key, default))
 
     imp = sub.add_parser("impute", help="complete a data CSV with one method")
     imp.add_argument("--data", required=True,
@@ -185,7 +173,7 @@ def _cmd_mask(args) -> int:
                 "data": str(args.data),
                 "shape": list(mask.shape),
                 "params": resolved,
-                "missing_fraction": mask.n_missing / mask.indicator.size,
+                "missing_fraction": missing_fraction(mask),
             },
             sort_keys=True,
             indent=2,
@@ -288,10 +276,8 @@ def _cmd_report(args) -> int:
     for row in rows:
         print("  ".join(f"{cell:<22}" for cell in row).rstrip())
     if args.out:
-        import csv as _csv
-
         with Path(args.out).open("w", newline="") as fh:
-            _csv.writer(fh).writerows(rows)
+            csv.writer(fh).writerows(rows)
         print(f"wrote {args.out}")
     return 0
 

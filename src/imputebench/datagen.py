@@ -137,7 +137,9 @@ class LfmSpec:
                 f"rank must satisfy 1 <= k <= min(m, n), got k={self.k}"
             )
         if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0):
-            raise ValueError(f"noise_scale must be finite and >= 0")
+            raise ValueError(
+                f"noise_scale must be finite and >= 0, got {self.noise_scale}"
+            )
 
 
 def sample_latent(

@@ -157,11 +157,11 @@ def _ridge_fit_predict(
     ft: FeatureTable,
     ridge_lambda: float,
     positions: Optional[Sequence[tuple[np.ndarray, np.ndarray]]] = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Closed-form ridge on the training rows, averaged over k index
     assignments.
 
-    Returns (predictions at test rows, fitted values at train rows). The
+    Returns the (m, n) prediction at every cell, observed or missing. The
     intercept is handled by centering and left unpenalized. An assignment is
     a pair (row positions, column positions): each original row's and
     column's position in a permuted frame, i.e. ``argsort`` of the (row,
@@ -232,10 +232,9 @@ def _ridge_fit_predict(
     split = rows.shape[1]
     pred = np.add.outer(rows @ beta[:split] + a_r @ gamma[:, 0] / k,
                         cols @ beta[split:] + a_c @ gamma[:, 1] / k) + y_mean
-    return pred[~train], pred[train]
+    return pred
 
 
 def ridge_on_features(ft: FeatureTable, ridge_lambda: float) -> np.ndarray:
     """Predict the test-row (missing-cell) values with closed-form ridge."""
-    test_pred, _ = _ridge_fit_predict(ft, ridge_lambda)
-    return test_pred
+    return _ridge_fit_predict(ft, ridge_lambda)[~ft.indicator]

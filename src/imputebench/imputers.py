@@ -323,12 +323,7 @@ def _featurized_ridge_fit(
     """Featurized ridge's prediction at every cell, averaged over the index
     assignments ``positions`` (see ``featurize._ridge_fit_predict``); the
     plain fit without them."""
-    ft = build_features(ds)
-    test_pred, train_fit = _ridge_fit_predict(ft, ridge_lambda, positions)
-    fitted = np.empty(ds.shape)
-    fitted[~ft.indicator] = test_pred
-    fitted[ft.indicator] = train_fit
-    return fitted
+    return _ridge_fit_predict(build_features(ds), ridge_lambda, positions)
 
 
 def impute_featurized_ridge(

@@ -4,14 +4,16 @@ Every generator maps (complete matrix, parameters, seed) to a Mask and is a
 pure function of those inputs. Mechanisms that target a missing rate
 calibrate a sigmoid intercept by bisection so the expected rate matches.
 The ``generate`` dispatcher resolves a PatternSpec, fills in the
-per-pattern defaults for parameters the caller leaves out, and resamples a
-fresh stream when a degenerate (fully missing) mask comes out.
+per-pattern defaults (the generator's own keyword defaults) for parameters
+the caller leaves out, and resamples a fresh stream when a degenerate (fully
+missing) mask comes out.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -850,66 +852,54 @@ class PatternSpec:
         return merged
 
 
+# Tag order is PATTERN_TAGS order, the cell order of ``--patterns all``.
+_GENERATORS = {
+    "mcar": gen_mcar,
+    "col-mar": gen_col_mar,
+    "nn-mnar": gen_nn_mnar,
+    "self-masking": gen_self_masking,
+    "censoring": gen_censoring,
+    "panel": gen_panel,
+    "polarization-hard": gen_polarization_hard,
+    "polarization-soft": gen_polarization_soft,
+    "latent-factor": gen_latent_factor,
+    "cluster": gen_cluster,
+    "two-phase": gen_two_phase,
+    "block": gen_block,
+    "seq": gen_seq,
+}
+
+
+def _signature_defaults(gen) -> dict:
+    """A generator's parameters after the data matrix that may be passed by
+    position, with their defaults; a dataclass default (seq's BanditConfig)
+    contributes its fields. Keyword-only parameters (seed, censoring's
+    directions) are left out."""
+    defaults = {}
+    for param in list(inspect.signature(gen).parameters.values())[1:]:
+        if param.kind is not param.POSITIONAL_OR_KEYWORD:
+            continue
+        if is_dataclass(param.default):
+            defaults.update(asdict(param.default))
+        else:
+            defaults[param.name] = param.default
+    return defaults
+
+
+# Each pattern's parameters and defaults, as its generator's signature states them.
 PATTERN_DEFAULTS: dict[str, dict] = {
-    "mcar": {"p_missing": 0.4},
-    "col-mar": {"p_missing": 0.4, "predictor_fraction": 0.05},
-    "nn-mnar": {
-        "p_missing": 0.4,
-        "neighborhood_size_range": (3, 8),
-        "layer_range": (1, 3),
-        "width_range": (4, 16),
-    },
-    "self-masking": {"p_missing": 0.4, "target_cols": None},
-    "censoring": {"q_censor": 0.25},
-    "panel": {},
-    "polarization-hard": {"q_thresh": 0.25},
-    "polarization-soft": {"alpha": 2.5, "eps": 0.05},
-    "latent-factor": {"k_low": 1, "k_high": 5},
-    "cluster": {
-        "n_row_clusters": 5,
-        "n_col_clusters": 4,
-        "tau_r": 1.0,
-        "tau_c": 1.0,
-        "eps_std": 1.0,
-    },
-    "two-phase": {"f_cheap": 0.4, "alpha": 0.0, "beta": 2.0},
-    "block": {
-        "p_missing": 0.4,
-        "n_row_blocks": 10,
-        "n_col_blocks": 10,
-    },
-    "seq": {
-        "algorithm": "epsilon_greedy",
-        "epsilon": 0.4,
-        "epsilon_decay": 0.99,
-        "pooling": False,
-        "reward_noise_scale": 1.0,
-        "p_missing": 0.4,
-    },
+    tag: _signature_defaults(gen) for tag, gen in _GENERATORS.items()
 }
 
 PATTERN_TAGS = tuple(PATTERN_DEFAULTS)
 
 
 def _dispatch(pattern: str, truth: DataMatrix, params: dict, seed: SeedSpec) -> Mask:
+    gen = _GENERATORS[pattern]
     if pattern == "seq":
         bandit = {k: v for k, v in params.items() if k != "p_missing"}
-        return gen_seq(truth, BanditConfig(**bandit), params["p_missing"], seed=seed)
-    generators = {
-        "mcar": gen_mcar,
-        "col-mar": gen_col_mar,
-        "nn-mnar": gen_nn_mnar,
-        "self-masking": gen_self_masking,
-        "censoring": gen_censoring,
-        "panel": gen_panel,
-        "polarization-hard": gen_polarization_hard,
-        "polarization-soft": gen_polarization_soft,
-        "latent-factor": gen_latent_factor,
-        "cluster": gen_cluster,
-        "two-phase": gen_two_phase,
-        "block": gen_block,
-    }
-    return generators[pattern](truth, **params, seed=seed)
+        return gen(truth, BanditConfig(**bandit), params["p_missing"], seed=seed)
+    return gen(truth, **params, seed=seed)
 
 
 def generate(spec: PatternSpec, truth: DataMatrix) -> Mask:

@@ -627,6 +627,19 @@ def test_config_validation():
                                      make_imputer("col-mean")])
 
 
+def test_duplicate_pattern_tags_are_refused():
+    # one tag twice would share seed labels and report keys: identical cells,
+    # a doubled n_groups and a proportion trajectory that does not sum to 1
+    ds = [_lfm_record("d0", 9)]
+    methods = [make_imputer("col-mean"), make_imputer("soft-impute")]
+    for patterns in (["mcar", "mcar"],
+                     ["mcar", ("mcar", {"p_missing": 0.2})],
+                     ["panel", "mcar", ("panel", {})]):
+        with pytest.raises(ValueError, match="pattern tags must be unique"):
+            run_benchmark(ds, patterns, methods, n_seeds=1,
+                          adaptive_proportions=True)
+
+
 def test_adaptive_proportions_trajectory():
     datasets = [_lfm_record("d0", 10)]
     methods = [make_imputer("col-mean"), make_imputer("soft-impute")]

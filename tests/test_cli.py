@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from imputebench.bench import load_csv, load_mask_csv, read_data_csv, save_csv
-from imputebench.cli import build_parser, main
+from imputebench.cli import _parse_cols, _parse_range, build_parser, main
 from imputebench.imputers import METHOD_DEFAULTS
 from imputebench.missingness import PATTERN_DEFAULTS
 
@@ -177,12 +177,76 @@ def _subcommand(name):
     return subs.choices[name]
 
 
+def _pattern_flag_group():
+    return next(g for g in _subcommand("mask")._action_groups
+                if g.title.startswith("pattern hyperparameters"))
+
+
 def test_mask_flags_are_exactly_the_pattern_parameters():
-    group = next(g for g in _subcommand("mask")._action_groups
-                 if g.title.startswith("pattern hyperparameters"))
-    dests = [a.dest for a in group._group_actions]
+    dests = [a.dest for a in _pattern_flag_group()._group_actions]
     assert len(dests) == len(set(dests))
     assert set(dests) == {key for params in PATTERN_DEFAULTS.values() for key in params}
+
+
+def test_mask_flag_group_is_pinned():
+    """Every flag the generated group must keep: (option, dest, type,
+    metavar, action class). Each default's kind picks the parser."""
+    span, cols, store = _parse_range, _parse_cols, argparse._StoreAction
+    expected = [
+        ("--p-missing", "p_missing", float, None, store),
+        ("--predictor-fraction", "predictor_fraction", float, None, store),
+        ("--neighborhood-size-range", "neighborhood_size_range", span, "LO:HI", store),
+        ("--layer-range", "layer_range", span, "LO:HI", store),
+        ("--width-range", "width_range", span, "LO:HI", store),
+        ("--target-cols", "target_cols", cols, "J1,J2,...", store),
+        ("--q-censor", "q_censor", float, None, store),
+        ("--q-thresh", "q_thresh", float, None, store),
+        ("--alpha", "alpha", float, None, store),
+        ("--eps", "eps", float, None, store),
+        ("--k-low", "k_low", int, None, store),
+        ("--k-high", "k_high", int, None, store),
+        ("--n-row-clusters", "n_row_clusters", int, None, store),
+        ("--n-col-clusters", "n_col_clusters", int, None, store),
+        ("--tau-r", "tau_r", float, None, store),
+        ("--tau-c", "tau_c", float, None, store),
+        ("--eps-std", "eps_std", float, None, store),
+        ("--f-cheap", "f_cheap", float, None, store),
+        ("--beta", "beta", float, None, store),
+        ("--n-row-blocks", "n_row_blocks", int, None, store),
+        ("--n-col-blocks", "n_col_blocks", int, None, store),
+        ("--algorithm", "algorithm", str, None, store),
+        ("--epsilon", "epsilon", float, None, store),
+        ("--epsilon-decay", "epsilon_decay", float, None, store),
+        ("--pooling", "pooling", None, None, argparse._StoreConstAction),
+        ("--reward-noise-scale", "reward_noise_scale", float, None, store),
+    ]
+    actions = _pattern_flag_group()._group_actions
+    got = [(*a.option_strings, a.dest, a.type, a.metavar, type(a)) for a in actions]
+    assert got == expected
+    for action in actions:  # unset flags stay None, so the defaults apply
+        assert action.default is None and not action.required
+    pooling = next(a for a in actions if a.dest == "pooling")
+    assert pooling.const is True and pooling.nargs == 0
+
+
+def test_mask_generated_flags_reach_the_sidecar(tmp_path):
+    data = _gen_dataset(tmp_path, rows=30, cols=8)
+    runs = [
+        ("nn-mnar", ["--neighborhood-size-range", "2:4"],
+         {"neighborhood_size_range": [2, 4]}),
+        ("seq", ["--pooling", "--algorithm", "ucb"],
+         {"pooling": True, "algorithm": "ucb"}),
+        ("self-masking", ["--target-cols", "0,2"], {"target_cols": [0, 2]}),
+        ("block", ["--n-row-blocks", "5", "--n-col-blocks", "4"],
+         {"n_row_blocks": 5, "n_col_blocks": 4}),
+    ]
+    for pattern, flags, echoed in runs:
+        out = tmp_path / f"{pattern}.csv"
+        assert main(["mask", "--data", str(data), "--pattern", pattern,
+                     "--out", str(out), *flags]) == 0
+        params = json.loads((tmp_path / f"{pattern}.csv.json").read_text())["params"]
+        assert {k: params[k] for k in echoed} == echoed
+        assert params.keys() == PATTERN_DEFAULTS[pattern].keys()
 
 
 def test_impute_flags_are_method_parameters():
@@ -260,6 +324,20 @@ def test_bench_config_errors_exit_two(tmp_path, capsys):
         "bench", "--datasets", str(data_dir), "--patterns", "mcar",
         "--methods", "col-mean", "--out", str(tmp_path / "o"),
     ]) == 2
+
+
+def test_bench_duplicate_patterns_exit_two(tmp_path, capsys):
+    data_dir = tmp_path / "datasets"
+    data_dir.mkdir()
+    _gen_dataset(data_dir, name="d.csv")
+    out = tmp_path / "o"
+    assert main([
+        "bench", "--datasets", str(data_dir), "--patterns", "mcar,mcar",
+        "--adaptive-proportions", "--methods", "col-mean,soft-impute",
+        "--seeds", "1", "--out", str(out),
+    ]) == 2
+    assert "pattern tags must be unique" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_oversize_knn_exits_two(tmp_path, capsys, monkeypatch):

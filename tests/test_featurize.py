@@ -217,9 +217,10 @@ def test_ridge_train_fit_dimensions():
     ind[0, 0] = 1
     ds = _masked(truth, ind)
     ft = build_features(ds)
-    test_pred, train_fit = _ridge_fit_predict(ft, 0.1)
-    assert test_pred.shape == (ft.test_rows.size,)
-    assert train_fit.shape == (ft.train_rows.size,)
+    pred = _ridge_fit_predict(ft, 0.1)
+    assert pred.shape == (6, 6)
+    assert pred[~ft.indicator].shape == (ft.test_rows.size,)
+    assert pred[ft.indicator].shape == (ft.train_rows.size,)
 
 
 def _explicit_ridge(ft, ridge_lambda):
@@ -259,14 +260,12 @@ def test_ridge_matches_explicit_design_and_is_additive():
         ind[0, 0] = 1
         ft = build_features(_masked(rng.normal(size=(m, n)), ind))
         for lam in (1e-3, 1.0):
-            test_pred, train_fit = _ridge_fit_predict(ft, lam)
+            pred = _ridge_fit_predict(ft, lam)
             ref = np.concatenate(_explicit_ridge(ft, lam))
-            err = np.abs(np.concatenate([test_pred, train_fit]) - ref).max()
+            err = np.abs(np.concatenate([pred[~ft.indicator], pred[ft.indicator]])
+                         - ref).max()
             assert err <= 1e-9 * np.abs(ref).max(), (case, m, n, lam)
 
-            pred = np.empty(m * n)
-            pred[ft.test_rows], pred[ft.train_rows] = test_pred, train_fit
-            pred = pred.reshape(m, n)
             resid = (pred - pred.mean(axis=0) - pred.mean(axis=1)[:, None]
                      + pred.mean())
             assert np.abs(resid).max() <= 1e-9, (case, m, n, lam)

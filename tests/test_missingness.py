@@ -963,12 +963,60 @@ def test_generate_resamples_then_errors(monkeypatch):
         calls.append(seed)
         return Mask(np.zeros(truth.shape, dtype=np.uint8))
 
-    monkeypatch.setattr(mg, "gen_mcar", fully_missing)
+    monkeypatch.setitem(mg._GENERATORS, "mcar", fully_missing)
     spec = mg.PatternSpec("mcar", SeedSpec(0, "resample"))
     with pytest.raises(DegenerateMaskError):
         mg.generate(spec, X)
     assert len(calls) == mg.MAX_RESAMPLE_ATTEMPTS
     assert len({s.label for s in calls}) == mg.MAX_RESAMPLE_ATTEMPTS
+
+
+# Every pattern default, written out. The table built from the generators'
+# signatures must keep these values, value types, key order and tag order
+# (tag order is the cell order of ``--patterns all``).
+_PINNED_PATTERN_DEFAULTS = {
+    "mcar": {"p_missing": 0.4},
+    "col-mar": {"p_missing": 0.4, "predictor_fraction": 0.05},
+    "nn-mnar": {
+        "p_missing": 0.4,
+        "neighborhood_size_range": (3, 8),
+        "layer_range": (1, 3),
+        "width_range": (4, 16),
+    },
+    "self-masking": {"p_missing": 0.4, "target_cols": None},
+    "censoring": {"q_censor": 0.25},
+    "panel": {},
+    "polarization-hard": {"q_thresh": 0.25},
+    "polarization-soft": {"alpha": 2.5, "eps": 0.05},
+    "latent-factor": {"k_low": 1, "k_high": 5},
+    "cluster": {
+        "n_row_clusters": 5,
+        "n_col_clusters": 4,
+        "tau_r": 1.0,
+        "tau_c": 1.0,
+        "eps_std": 1.0,
+    },
+    "two-phase": {"f_cheap": 0.4, "alpha": 0.0, "beta": 2.0},
+    "block": {"p_missing": 0.4, "n_row_blocks": 10, "n_col_blocks": 10},
+    "seq": {
+        "algorithm": "epsilon_greedy",
+        "epsilon": 0.4,
+        "epsilon_decay": 0.99,
+        "pooling": False,
+        "reward_noise_scale": 1.0,
+        "p_missing": 0.4,
+    },
+}
+
+
+def test_pattern_defaults_are_pinned():
+    assert mg.PATTERN_TAGS == tuple(_PINNED_PATTERN_DEFAULTS)
+    assert list(mg.PATTERN_DEFAULTS) == list(_PINNED_PATTERN_DEFAULTS)
+    for tag, pinned in _PINNED_PATTERN_DEFAULTS.items():
+        got = mg.PATTERN_DEFAULTS[tag]
+        assert list(got) == list(pinned), tag
+        assert got == pinned, tag
+        assert [type(v) for v in got.values()] == [type(v) for v in pinned.values()], tag
 
 
 def test_pattern_spec_rejects_unknown_tags_and_params():
