@@ -35,7 +35,13 @@ import numpy as np
 
 from .core import DataMatrix, Mask, MaskedDataset, SeedSpec, apply_mask
 from .imputers import EQUIVARIANT_METHODS, ImputationResult, Imputer, knn_peak_bytes
-from .missingness import MASK_STREAM, PATTERN_TAGS, PatternSpec, generate
+from .missingness import (
+    MASK_STREAM,
+    PATTERN_TAGS,
+    PatternSpec,
+    generate,
+    nn_mnar_peak_bytes,
+)
 from .scheduler import step as scheduler_step
 from .scheduler import uniform_state
 
@@ -607,27 +613,50 @@ def _physical_memory() -> Optional[int]:
     return min(known) if known else None
 
 
+def _refuse_oversize(need: int, who: str, what: str, dataset: DatasetRecord,
+                     at_once: int) -> None:
+    """Raise when ``need`` bytes of ``who``'s ``what`` for ``dataset``,
+    ``at_once`` groups side by side, exceed the memory the process may use
+    (``_physical_memory``)."""
+    budget = _physical_memory()
+    if budget is None or need <= budget:
+        return
+    rows, cols = dataset.matrix.shape
+    raise ValueError(
+        f"{who} needs {need:,} bytes of {what} for dataset {dataset.name!r} "
+        f"({rows}x{cols}) with {at_once} groups at once; the process may use "
+        f"{budget:,} bytes (physical memory or the cgroup limit, whichever is "
+        f"smaller)"
+    )
+
+
 def _refuse_oversize_knn(
     datasets: Sequence[DatasetRecord], methods: Sequence[Imputer], at_once: int
 ) -> None:
     """Raise before any group runs when knn's m x m arrays for the tallest
-    dataset, ``at_once`` groups side by side, exceed the memory the process
-    may use (``_physical_memory``)."""
+    dataset, ``at_once`` groups side by side, do not fit."""
     users = [m.name for m in methods
              if "knn" in (m.method, m.params.get("base_a"), m.params.get("base_b"))]
-    budget = _physical_memory()
-    if not users or budget is None:
-        return
-    tallest = max(datasets, key=lambda d: d.matrix.shape[0])
-    rows, cols = tallest.matrix.shape
-    need = at_once * knn_peak_bytes(rows)
-    if need > budget:
-        raise ValueError(
-            f"method {users[0]!r} needs {need:,} bytes of knn row distances "
-            f"for dataset {tallest.name!r} ({rows}x{cols}) with {at_once} "
-            f"groups at once; the process may use {budget:,} bytes (physical "
-            f"memory or the cgroup limit, whichever is smaller)"
-        )
+    if users:
+        tallest = max(datasets, key=lambda d: d.matrix.shape[0])
+        need = at_once * knn_peak_bytes(tallest.matrix.shape[0])
+        _refuse_oversize(need, f"method {users[0]!r}", "knn row distances", tallest, at_once)
+
+
+def refuse_oversize_nn_mnar(
+    datasets: Sequence[DatasetRecord], params: Mapping, at_once: int = 1
+) -> None:
+    """Raise before any mask is drawn when nn-mnar's neighborhood arrays, at
+    the resolved ``params``' largest neighborhood and width, for the largest
+    dataset, ``at_once`` groups side by side, do not fit."""
+    size_hi, width_hi = params["neighborhood_size_range"][1], params["width_range"][1]
+
+    def peak(d: DatasetRecord) -> int:
+        return nn_mnar_peak_bytes(*d.matrix.shape, size_hi, width_hi)
+
+    largest = max(datasets, key=peak)
+    _refuse_oversize(at_once * peak(largest), "pattern 'nn-mnar'", "neighborhood arrays",
+                     largest, at_once)
 
 
 def run_benchmark(
@@ -650,9 +679,10 @@ def run_benchmark(
     A BLAS without that setter keeps its own count, as before. The setting
     is process-wide, so the host program's other threads also see one BLAS
     thread while the grid runs. A grid that lists ``knn`` (as a method or an
-    ensemble base) is refused up front with ``ValueError`` when its m x m
-    arrays, times the groups that run at once, exceed physical memory or the
-    cgroup v2 memory limit, whichever is smaller.
+    ensemble base) or ``nn-mnar`` is refused up front with ``ValueError``
+    when knn's m x m arrays or nn-mnar's neighborhood arrays
+    (``nn_mnar_peak_bytes``), times the groups that run at once, exceed
+    physical memory or the cgroup v2 memory limit, whichever is smaller.
     """
     if not datasets:
         raise ValueError("need at least one dataset")
@@ -679,7 +709,12 @@ def run_benchmark(
         for tag, params in norm_patterns
         for replicate in range(n_seeds)
     ]
-    _refuse_oversize_knn(datasets, methods, min(jobs, len(tasks)))
+    at_once = min(jobs, len(tasks))
+    _refuse_oversize_knn(datasets, methods, at_once)
+    for tag, params in norm_patterns:
+        if tag == "nn-mnar":
+            resolved = PatternSpec(tag, SeedSpec(0, "validate"), params).resolved_params()
+            refuse_oversize_nn_mnar(datasets, resolved, at_once)
     with _ONE_BLAS_THREAD:
         if jobs == 1:
             results = [

@@ -158,6 +158,8 @@ def _cmd_mask(args) -> int:
     record = bench_mod.load_csv(args.data)
     overrides = _given(args, PATTERN_DEFAULTS)
     spec = PatternSpec(args.pattern, SeedSpec(args.seed, args.pattern), overrides)
+    if args.pattern == "nn-mnar":
+        bench_mod.refuse_oversize_nn_mnar([record], spec.resolved_params())
     mask = generate(spec, record.matrix)
     bench_mod.save_mask_csv(mask, args.out)
     sidecar = Path(args.sidecar) if args.sidecar else Path(str(args.out) + ".json")

@@ -23,6 +23,7 @@ __all__ = [
     "ShapeMismatchError",
     "DegenerateMaskError",
     "apply_mask",
+    "bernoulli_mask",
     "missing_fraction",
     "sample_bernoulli_mask",
 ]
@@ -240,8 +241,12 @@ def missing_fraction(mask: Mask) -> float:
     return mask.n_missing / mask.indicator.size
 
 
+def bernoulli_mask(p_observed: np.ndarray, rng: np.random.Generator) -> Mask:
+    """Each entry observed independently with its own propensity: one
+    uniform draw per entry, in row-major order, observed below p."""
+    return Mask((rng.random(p_observed.shape) < p_observed).astype(np.uint8))
+
+
 def sample_bernoulli_mask(p: PropensityMatrix, seed: SeedSpec) -> Mask:
     """Draw each entry observed independently with its own propensity."""
-    rng = seed.rng()
-    u = rng.random(p.shape)
-    return Mask((u < p.p).astype(np.uint8))
+    return bernoulli_mask(p.p, seed.rng())

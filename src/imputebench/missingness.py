@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import DataMatrix, DegenerateMaskError, Mask, SeedSpec
+from .core import DataMatrix, DegenerateMaskError, Mask, SeedSpec, bernoulli_mask
 
 __all__ = [
     "BanditConfig",
@@ -31,6 +31,7 @@ __all__ = [
     "gen_mcar",
     "gen_col_mar",
     "gen_nn_mnar",
+    "nn_mnar_peak_bytes",
     "gen_self_masking",
     "gen_censoring",
     "gen_panel",
@@ -49,8 +50,9 @@ MAX_RESAMPLE_ATTEMPTS = 16
 # Stream 2 draws the nn-mnar neighborhoods in one batch (``_distinct_draws``);
 # stream 1 called ``rng.choice`` once per cell. Other patterns are unchanged.
 MASK_STREAM = 2
-# Scratch bound of the repeat-check table in ``_distinct_draws``.
-_TAKEN_TABLE_BYTES = 4 << 20
+# Size bound of the repeat-check table in ``_distinct_draws``: 1 MiB, a
+# chunk of tuples at a time; the draws do not depend on it.
+_TAKEN_TABLE_BYTES = 1 << 20
 
 
 class CalibrationError(RuntimeError):
@@ -135,10 +137,6 @@ def _zscore(x: np.ndarray) -> np.ndarray:
     return centered / std if std > 0 else np.zeros_like(centered)
 
 
-def _bernoulli_mask(p_observed: np.ndarray, rng: np.random.Generator) -> Mask:
-    return Mask((rng.random(p_observed.shape) < p_observed).astype(np.uint8))
-
-
 def _quantile(sorted_values: np.ndarray, q: float) -> float:
     """Linear-interpolation quantile of an already sorted vector."""
     n = sorted_values.size
@@ -160,7 +158,7 @@ def gen_mcar(truth: DataMatrix, p_missing: float = 0.4, *, seed: SeedSpec) -> Ma
         raise ValueError(f"p_missing must be in [0, 1), got {p_missing}")
     rng = seed.rng()
     p_obs = np.full(truth.shape, 1.0 - p_missing)
-    return _bernoulli_mask(p_obs, rng)
+    return bernoulli_mask(p_obs, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +227,16 @@ def gen_col_mar(
 # ---------------------------------------------------------------------------
 
 
-def _nn_forward(inputs: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Feed-forward pass: tanh hidden activations, raw final logits."""
-    h = inputs
+def _nn_forward(h: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Feed-forward pass over the input rows ``h``: tanh hidden activations,
+    raw final logits. Each layer holds one (rows, width) array, updated in
+    place, and inputs passed without another reference are freed after the
+    first layer."""
     for depth, (w, b) in enumerate(layers):
-        h = h @ w + b
+        h = h @ w
+        h += b
         if depth < len(layers) - 1:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
     return h.ravel()
 
 
@@ -246,25 +247,40 @@ def _distinct_draws(pool: int, size: int, count: int,
     ``rng.choice(pool, size, replace=False)``, drawn in one batch.
 
     Floyd's subset algorithm runs on every tuple at once. Step t draws one
-    integer in [0, top], top = pool - size + t, per tuple; a tuple that
-    already holds the draw takes top instead. Each row is then shuffled.
-    Repeats are looked up in a boolean table over (tuple, candidate) that
-    covers a chunk of tuples at a time, so the draw costs O(count * size)
-    time and about ``_TAKEN_TABLE_BYTES`` of scratch beyond its output.
+    integer in [0, top], top = pool - size + t, per tuple, into column t; a
+    tuple that already holds the draw takes top instead. Each row is then
+    shuffled in place. Repeats are looked up in a boolean table over (tuple,
+    candidate) that covers a chunk of tuples at a time, so the draw costs
+    O(count * size) time and, beyond its int64 output, a few int64s per
+    tuple and at most ``_TAKEN_TABLE_BYTES`` of table.
     """
     tops = range(pool - size, pool)
-    draws = np.stack([rng.integers(0, top + 1, count) for top in tops])
+    draws = np.empty((count, size), dtype=np.int64)
+    for t, top in enumerate(tops):
+        draws[:, t] = rng.integers(0, top + 1, count)
     chunk = max(1, _TAKEN_TABLE_BYTES // pool)
     taken = np.zeros(min(chunk, count) * pool, dtype=bool)
     for lo in range(0, count, chunk):
-        block = draws[:, lo:lo + chunk]  # a view: the picks are fixed in place
-        base = np.arange(block.shape[1]) * pool
-        for pick, top in zip(block, tops):
+        block = draws[lo:lo + chunk]  # a view: the picks are fixed in place
+        base = np.arange(block.shape[0]) * pool
+        for t, top in enumerate(tops):
+            pick = block[:, t]
             pick[taken[base + pick]] = top
             taken[base + pick] = True
-        taken[base + block] = False  # clear only what this chunk set
-    # in C order: on the transposed layout the network's logits round differently
-    return rng.permuted(draws.T, axis=1, out=np.empty((count, size), dtype=draws.dtype))
+        for t in range(size):  # clear only what this chunk set
+            taken[base + block[:, t]] = False
+    return rng.permuted(draws, axis=1, out=draws)
+
+
+def nn_mnar_peak_bytes(m: int, n: int, size_hi: int, width_hi: int) -> int:
+    """Bytes that ``gen_nn_mnar`` holds at once on an m x n matrix with
+    neighborhoods of at most ``size_hi`` cells and layers of at most
+    ``width_hi`` units, from the shapes alone: the (m·n, s) int64 cells and
+    float64 inputs, two (m·n, width) float64 layers, 64 bytes per cell of
+    propensities and calibration, and the repeat table. Under tracemalloc
+    the generator peaks at 0.67-0.96 of it at 1000 x 20 and 300 x 50."""
+    s = max(1, min(size_hi, m + n - 1))
+    return m * n * (16 * s + 16 * width_hi + 64) + _TAKEN_TABLE_BYTES
 
 
 def _nn_mnar_design(values: np.ndarray, p_missing: float,
@@ -277,8 +293,11 @@ def _nn_mnar_design(values: np.ndarray, p_missing: float,
     Each cell's neighborhood is a uniformly random ordered tuple of s
     distinct candidates from the m + n - 1 cells of its row and column (the
     cell itself among them). ``_distinct_draws`` draws all m·n tuples in one
-    batch: O(m·n·s) time and about 4 MiB of scratch beyond its (m·n, s) result.
-    Returns (observed-propensity matrix, neighborhoods (m*n, s, 2), layers).
+    batch, and the candidates become flat cell indices ``row * n + col`` in
+    place, so the design holds one (m·n, s) int64 array, one (m·n, s) bool
+    mask while mapping and the (m·n, s) float64 inputs while the network runs
+    (``nn_mnar_peak_bytes``).
+    Returns (observed-propensity matrix, flat cells (m*n, s), layers).
     """
     m, n = values.shape
     s_lo, s_hi = neighborhood_size_range
@@ -293,21 +312,23 @@ def _nn_mnar_design(values: np.ndarray, p_missing: float,
         layers.append((rng.normal(size=(d_in, d_out)), rng.normal(size=d_out)))
 
     # One tuple per cell (i, j) in row-major order. Candidate c < n is cell
-    # (i, c) in the row; c >= n is a cell in the column, skipping row i so
-    # (i, j) is listed once.
-    chosen = _distinct_draws(m + n - 1, size, m * n, rng)
+    # (i, c) in the row; c >= n is a cell in the column, n + r for row r,
+    # skipping row i so (i, j) is listed once.
+    cells = _distinct_draws(m + n - 1, size, m * n, rng)
     i, j = np.divmod(np.arange(m * n)[:, None], n)
-    r = chosen - n
-    in_row = chosen < n
-    neighborhoods = np.stack(
-        [np.where(in_row, i, r + (r >= i)), np.where(in_row, chosen, j)], axis=-1
-    )
+    flag = cells >= n + i  # the column candidates from row i on
+    cells += flag  # now every column candidate is n + its row
+    np.less(cells, n, out=flag)
+    np.add(cells, i * n, out=cells, where=flag)
+    np.logical_not(flag, out=flag)
+    np.multiply(cells, n, out=cells, where=flag)
+    np.add(cells, j - n * n, out=cells, where=flag)
+    del flag
 
-    inputs = values[neighborhoods[:, :, 0], neighborhoods[:, :, 1]]
-    logits = _nn_forward(inputs, layers)
+    logits = _nn_forward(np.take(values, cells), layers)
     shift = calibrate_intercept(logits, 1.0 - p_missing)
     p_obs = _sigmoid(logits + shift).reshape(m, n)
-    return p_obs, neighborhoods, layers
+    return p_obs, cells, layers
 
 
 def gen_nn_mnar(
@@ -325,7 +346,8 @@ def gen_nn_mnar(
 
     A cell's neighborhood is a uniformly random ordered tuple of distinct
     cells from its row and column; every cell's tuple comes from one batched
-    Floyd draw, O(m·n·s) time and about 4 MiB of scratch for size s."""
+    Floyd draw, O(m·n·s) time for size s. Memory grows with m·n·(s + width);
+    ``nn_mnar_peak_bytes`` bounds it from the shapes alone."""
     if not 0.0 < p_missing < 1.0:
         raise ValueError(f"p_missing must be in (0, 1), got {p_missing}")
     for name, rng_pair in (
@@ -340,7 +362,7 @@ def gen_nn_mnar(
     p_obs, _, _ = _nn_mnar_design(
         truth.values, p_missing, neighborhood_size_range, layer_range, width_range, rng
     )
-    return _bernoulli_mask(p_obs, rng)
+    return bernoulli_mask(p_obs, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +530,7 @@ def gen_polarization_soft(
         raise ValueError(f"eps must be in (0, 0.5), got {eps}")
     rng = seed.rng()
     p_miss = _soft_polarization_propensity(truth.values, alpha, eps)
-    return _bernoulli_mask(1.0 - p_miss, rng)
+    return bernoulli_mask(1.0 - p_miss, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +558,7 @@ def gen_latent_factor(
         raise ValueError(f"need 1 <= k_low <= k_high, got ({k_low}, {k_high})")
     rng = seed.rng()
     _, p_obs = _latent_factor_design(truth.shape, k_low, k_high, rng)
-    return _bernoulli_mask(p_obs, rng)
+    return bernoulli_mask(p_obs, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +598,7 @@ def gen_cluster(
     _, _, p_obs = _cluster_design(
         truth.shape, n_row_clusters, n_col_clusters, tau_r, tau_c, eps_std, rng
     )
-    return _bernoulli_mask(p_obs, rng)
+    return bernoulli_mask(p_obs, rng)
 
 
 # ---------------------------------------------------------------------------

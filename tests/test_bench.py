@@ -30,7 +30,13 @@ from imputebench.core import DataMatrix, Mask, SeedSpec, apply_mask
 from imputebench.datagen import LfmSpec, sample_lfm
 from imputebench.ensemble import EnsembleSpec, blend
 from imputebench.imputers import ImputationResult, Imputer, make_imputer
-from imputebench.missingness import MASK_STREAM, PATTERN_TAGS, PatternSpec, generate
+from imputebench.missingness import (
+    MASK_STREAM,
+    PATTERN_TAGS,
+    PatternSpec,
+    generate,
+    nn_mnar_peak_bytes,
+)
 
 
 def _lfm_record(name, seed, m=30, n=8, k=2):
@@ -545,20 +551,27 @@ def test_overlapping_grids_restore_once_the_last_one_ends():
 def test_repeated_pins_do_not_grow_the_heap():
     # Each library is opened and its functions looked up once per process;
     # a fresh ctypes handle per pin left about 0.3 KiB behind every time.
+    # Only blocks allocated under a bench.py frame count: the window also
+    # sees whatever else the process allocates meanwhile.
     with bench._ONE_BLAS_THREAD:
         pass
     gc.collect()
-    tracemalloc.start()
+    under_bench = [tracemalloc.Filter(True, bench.__file__, all_frames=True)]
+
+    def bench_bytes(snapshot):
+        return sum(trace.size for trace in snapshot.filter_traces(under_bench).traces)
+
+    tracemalloc.start(8)  # deep enough to reach bench.py from inside ctypes
     try:
-        before = tracemalloc.get_traced_memory()[0]
+        before = tracemalloc.take_snapshot()
         for _ in range(200):
             with bench._ONE_BLAS_THREAD:
                 pass
         gc.collect()
-        grown = tracemalloc.get_traced_memory()[0] - before
+        after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    assert grown < 4 * 1024
+    assert bench_bytes(after) - bench_bytes(before) < 4 * 1024
 
 
 def test_oversize_knn_is_refused_before_any_group_runs(monkeypatch):
@@ -584,6 +597,40 @@ def test_oversize_knn_is_refused_before_any_group_runs(monkeypatch):
     for methods, jobs in (([make_imputer("col-mean"), make_imputer("knn")], 1),
                           ([make_imputer("col-mean"), make_imputer("soft-impute")], 2)):
         run_benchmark([record], ["mcar"], methods, n_seeds=2, jobs=jobs)
+
+
+def test_oversize_nn_mnar_is_refused_before_any_group_runs(monkeypatch):
+    small, wide = _lfm_record("d0", 24), _lfm_record("d1", 25, m=20, n=40)
+    wide_hood = ("nn-mnar", {"neighborhood_size_range": (3, 50)})
+    # the resolved ranges: the given sizes, the default widths (4, 16); the
+    # 20 x 40 dataset needs more than the 30 x 8 one, whose s clamps to 37
+    need = nn_mnar_peak_bytes(20, 40, 50, 16)
+    assert need > nn_mnar_peak_bytes(30, 8, 50, 16)
+
+    def no_group(*args):
+        raise AssertionError("a group ran")
+
+    methods = [make_imputer("col-mean"), make_imputer("soft-impute")]
+    monkeypatch.setattr(bench, "_physical_memory", lambda: 2 * need - 1)
+    monkeypatch.setattr(bench, "_run_group", no_group)
+    with pytest.raises(ValueError) as err:
+        run_benchmark([small, wide], ["mcar", wide_hood], methods, n_seeds=2, jobs=2)
+    message = str(err.value)
+    assert "'nn-mnar'" in message and "'d1' (20x40)" in message
+    assert f"{2 * need:,} bytes" in message and "with 2 groups at once" in message
+    # a width override counts as well, at one group at a time
+    wide_net = nn_mnar_peak_bytes(20, 40, 8, 64)
+    monkeypatch.setattr(bench, "_physical_memory", lambda: wide_net - 1)
+    with pytest.raises(ValueError, match=f"needs {wide_net:,} bytes"):
+        run_benchmark([small, wide], [("nn-mnar", {"width_range": (4, 64)})], methods,
+                      n_seeds=1)
+    # one group at a time fits, as do more jobs than groups, and grids without nn-mnar
+    monkeypatch.undo()
+    monkeypatch.setattr(bench, "_physical_memory", lambda: 2 * need - 1)
+    run_benchmark([small, wide], ["mcar", wide_hood], methods, n_seeds=2, jobs=1)
+    run_benchmark([wide], [wide_hood], methods, n_seeds=1, jobs=4)
+    monkeypatch.setattr(bench, "_physical_memory", lambda: 1024)
+    run_benchmark([small, wide], ["mcar", "panel"], methods, n_seeds=2, jobs=2)
 
 
 def test_memory_budget_is_the_smaller_of_physical_and_cgroup(monkeypatch, tmp_path):

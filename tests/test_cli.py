@@ -7,7 +7,7 @@ import pytest
 from imputebench.bench import load_csv, load_mask_csv, read_data_csv, save_csv
 from imputebench.cli import _parse_cols, _parse_range, build_parser, main
 from imputebench.imputers import METHOD_DEFAULTS
-from imputebench.missingness import PATTERN_DEFAULTS
+from imputebench.missingness import PATTERN_DEFAULTS, nn_mnar_peak_bytes
 
 
 def _gen_dataset(tmp_path, name="data.csv", rows=20, cols=6, rank=2, seed=5):
@@ -354,6 +354,27 @@ def test_bench_oversize_knn_exits_two(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "'knn'" in err and "20x6" in err and "bytes" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_mask_oversize_nn_mnar_exits_two(tmp_path, capsys, monkeypatch):
+    import imputebench.bench as bench
+
+    data = _gen_dataset(tmp_path)  # 20 x 6
+    out = tmp_path / "nn.csv"
+    argv = ["mask", "--data", str(data), "--pattern", "nn-mnar", "--out", str(out)]
+    need = nn_mnar_peak_bytes(20, 6, 8, 16)  # the default ranges, sizes 3-8, widths 4-16
+    monkeypatch.setattr(bench, "_physical_memory", lambda: need - 1)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "'nn-mnar'" in err and "20x6" in err and f"needs {need:,} bytes" in err
+    assert not out.exists()
+    # a pattern without the bound runs, and so does nn-mnar where it fits
+    assert main(["mask", "--data", str(data), "--pattern", "mcar", "--out", str(out)]) == 0
+    monkeypatch.setattr(bench, "_physical_memory", lambda: need)
+    assert main(argv) == 0
+    # the flags are resolved before the check
+    assert main(argv + ["--neighborhood-size-range", "3:9"]) == 2
+    assert f"needs {nn_mnar_peak_bytes(20, 6, 9, 16):,} bytes" in capsys.readouterr().err
 
 
 def test_bench_partial_failure_exits_three(tmp_path, capsys):

@@ -12,6 +12,7 @@ from imputebench.core import (
     SeedSpec,
     ShapeMismatchError,
     apply_mask,
+    bernoulli_mask,
     missing_fraction,
     sample_bernoulli_mask,
 )
@@ -209,6 +210,19 @@ def test_bernoulli_mask_bit_identical_given_seed():
     m1 = sample_bernoulli_mask(p, seed)
     m2 = sample_bernoulli_mask(p, seed)
     assert m1.indicator.tobytes() == m2.indicator.tobytes()
+
+
+def test_bernoulli_rule_draws_one_uniform_per_entry_in_row_major_order():
+    # the rule the generators and sample_bernoulli_mask share
+    p = np.random.default_rng(3).random((6, 7))
+    seed = SeedSpec(4, "rule")
+    rng = seed.rng()
+    got = bernoulli_mask(p, rng)
+    u = seed.rng().random(p.size).reshape(p.shape)
+    assert got.indicator.tobytes() == (u < p).astype(np.uint8).tobytes()
+    sampled = sample_bernoulli_mask(PropensityMatrix(p), seed)
+    assert got.indicator.tobytes() == sampled.indicator.tobytes()
+    assert rng.random() == seed.rng().random(p.size + 1)[-1]  # one draw per entry
 
 
 @settings(max_examples=30, deadline=None)

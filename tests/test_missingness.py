@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -258,7 +260,8 @@ def test_nn_mnar_neighborhood_sensitivity():
     found = None
     for s in range(60):
         rng = SeedSpec(s, "nn-probe").rng()
-        _, hoods, layers = mg._nn_mnar_design(X.values, 0.4, (1, 2), (1, 1), (4, 4), rng)
+        _, cells, layers = mg._nn_mnar_design(X.values, 0.4, (1, 2), (1, 1), (4, 4), rng)
+        hoods = np.stack(np.divmod(cells, n), axis=-1)
         covered = {(int(r), int(c)) for cell in hoods for r, c in cell}
         outside = [
             (i, j) for i in range(m) for j in range(n) if (i, j) not in covered
@@ -290,10 +293,21 @@ def test_nn_mnar_generates_with_defaults():
     assert mask.shape == (12, 6)
 
 
+def _nn_forward_out_of_place(inputs, layers):
+    """Reference forward pass: a fresh array for every product, sum and tanh."""
+    h = inputs
+    for depth, (w, b) in enumerate(layers):
+        h = h @ w + b
+        if depth < len(layers) - 1:
+            h = np.tanh(h)
+    return h.ravel()
+
+
 def _nn_mnar_design_cell_loop(values, p_missing, neighborhood_size_range,
                               layer_range, width_range, rng):
     """Reference: the same draws as ``_nn_mnar_design``, with each cell's
-    candidates mapped to their (row, column) cells in a Python loop."""
+    candidates mapped to their (row, column) cells in a Python loop and the
+    network run out of place."""
     m, n = values.shape
     size = int(rng.integers(neighborhood_size_range[0], neighborhood_size_range[1] + 1))
     size = max(1, min(size, m + n - 1))
@@ -312,7 +326,8 @@ def _nn_mnar_design_cell_loop(values, p_missing, neighborhood_size_range,
                 else:
                     r = c - n
                     neighborhoods[i * n + j, t] = (r if r < i else r + 1, j)
-    logits = mg._nn_forward(values[neighborhoods[:, :, 0], neighborhoods[:, :, 1]], layers)
+    logits = _nn_forward_out_of_place(
+        values[neighborhoods[:, :, 0], neighborhoods[:, :, 1]], layers)
     shift = mg.calibrate_intercept(logits, 1.0 - p_missing)
     return mg._sigmoid(logits + shift).reshape(m, n), neighborhoods, layers
 
@@ -327,8 +342,9 @@ def test_nn_mnar_design_matches_cell_loop(shape):
     for seed in (0, 1, 2):
         for sizes in NN_SIZES:
             rng_new, rng_old = (SeedSpec(seed, "nn-loop").rng() for _ in range(2))
-            p_new, hoods_new, layers_new = mg._nn_mnar_design(
+            p_new, cells_new, layers_new = mg._nn_mnar_design(
                 X.values, 0.4, sizes, (1, 3), (4, 16), rng_new)
+            hoods_new = np.stack(np.divmod(cells_new, shape[1]), axis=-1)
             p_old, hoods_old, layers_old = _nn_mnar_design_cell_loop(
                 X.values, 0.4, sizes, (1, 3), (4, 16), rng_old)
             assert hoods_new.dtype == np.intp and hoods_new.shape == hoods_old.shape
@@ -348,7 +364,8 @@ def test_nn_mnar_neighborhoods_are_distinct_cells_of_the_row_and_column(shape):
     for seed in (0, 1, 2):
         for lo, hi in NN_SIZES:
             rng = SeedSpec(seed, "nn-distinct").rng()
-            _, hoods, _ = mg._nn_mnar_design(X.values, 0.4, (lo, hi), (1, 1), (4, 4), rng)
+            _, cells, _ = mg._nn_mnar_design(X.values, 0.4, (lo, hi), (1, 1), (4, 4), rng)
+            hoods = np.stack(np.divmod(cells, n), axis=-1)
             size = hoods.shape[1]
             assert min(lo, pool) <= size <= min(hi, pool)
             assert hoods.shape == (m * n, size, 2)
@@ -412,6 +429,65 @@ def test_nn_mnar_design_is_reproducible_from_its_seed():
     for (w_a, b_a), (w_b, b_b) in zip(l_a, l_b):
         assert np.array_equal(w_a, w_b) and np.array_equal(b_a, b_b)
     assert np.array_equal(tail_a, tail_b)  # same stream position after the call
+
+
+# sha256 of gen_nn_mnar's indicator bytes on stream 2, recorded before the
+# neighborhoods were built in place; at s >= 150 the 160 x 100 case spans
+# several repeat-table chunks
+NN_MNAR_STREAM_2 = [
+    ((40, 7), 3, (3, 8), "9ef90f0810bf2753faf3c8e32fd49e1f148a43fa02ec0fc49969b756c719db89"),
+    ((25, 30), 11, (1, 4), "7c8a6be2a5dd646f69c2d2305c69222de7098159d72a66a485c6968314f6343f"),
+    ((160, 100), 5, (150, 200), "cec926a9452630ddd1eb68388ed19de170c67b39366757cef1cca0d50bb3e0f4"),
+]
+
+
+@pytest.mark.parametrize("shape, seed, sizes, digest", NN_MNAR_STREAM_2)
+def test_nn_mnar_masks_are_pinned_on_stream_2(shape, seed, sizes, digest):
+    m, n = shape
+    X = sample_lfm(LfmSpec(m=m, n=n, k=3), SeedSpec(seed, "digest-data"))
+    mask = mg.gen_nn_mnar(X, neighborhood_size_range=sizes, seed=SeedSpec(seed, "nn-mnar"))
+    assert mg.MASK_STREAM == 2
+    assert hashlib.sha256(mask.indicator.tobytes()).hexdigest() == digest
+    if sizes[0] >= 150:
+        assert m * n > 2 * (mg._TAKEN_TABLE_BYTES // (m + n - 1))
+
+
+@pytest.mark.parametrize("sizes, layers, widths, bound_mib", [
+    ((8, 8), (3, 3), (16, 16), 8),
+    ((200, 200), (1, 3), (4, 16), 75),
+])
+def test_nn_mnar_design_peak_memory_at_1000x20(sizes, layers, widths, bound_mib):
+    X = _random_matrix(1000, 20, 31).values
+    mg._nn_mnar_design(X, 0.4, sizes, layers, widths, SeedSpec(1, "peak").rng())  # warm up
+    tracemalloc.start()
+    try:
+        mg._nn_mnar_design(X, 0.4, sizes, layers, widths, SeedSpec(1, "peak").rng())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("shape, size, width, n_layers", [
+    ((1000, 20), 8, 16, 3), ((1000, 20), 200, 4, 1), ((300, 50), 40, 16, 2),
+])
+def test_nn_mnar_peak_bytes_bounds_the_traced_peak(shape, size, width, n_layers):
+    # an upper bound that is not loose: the generator peaks at 0.67-0.96 of it here
+    X = _random_matrix(*shape, 32)
+    kwargs = dict(neighborhood_size_range=(size, size), layer_range=(n_layers, n_layers),
+                  width_range=(width, width), seed=SeedSpec(2, "peak-bytes"))
+    mg.gen_nn_mnar(X, **kwargs)  # warm up
+    tracemalloc.start()
+    try:
+        mg.gen_nn_mnar(X, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = mg.nn_mnar_peak_bytes(*shape, size, width)
+    assert 0.6 * bound <= peak <= bound, peak / bound
+    # s is clamped to the m + n - 1 candidates, as the generator clamps it
+    assert mg.nn_mnar_peak_bytes(*shape, 10**6, width) == mg.nn_mnar_peak_bytes(
+        *shape, sum(shape) - 1, width)
 
 
 # ---------------------------------------------------------------------------
