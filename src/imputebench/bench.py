@@ -147,15 +147,23 @@ def save_csv(
     path: Union[str, Path],
     columns: Optional[Sequence[str]] = None,
 ) -> None:
-    """Write a data CSV; NaN becomes an empty cell, floats keep full precision."""
+    """Write a data CSV: each value as Python's shortest round-trip ``repr``,
+    NaN as an empty cell (``""`` when it is the row's only cell), CRLF line
+    ends, as ``csv.writer`` would.
+
+    Rows are converted one at a time, so the writer holds one row of Python
+    floats, not the whole table."""
     values = np.asarray(values, dtype=float)
     if columns is None:
         columns = [f"x{j}" for j in range(values.shape[1])]
+    # csv.writer quotes a row whose only field is empty; a bare join would
+    # leave an empty line, which read_data_csv rejects as a 0-cell row
+    lone_empty = '""' if values.shape[1] == 1 else ""
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+        csv.writer(fh).writerow(columns)
         for row in values:
-            writer.writerow(["" if np.isnan(v) else repr(float(v)) for v in row])
+            line = ",".join(["" if v != v else repr(v) for v in row.tolist()])
+            fh.write((line or lone_empty) + "\r\n")
 
 
 def load_mask_csv(path: Union[str, Path]) -> Mask:
@@ -182,9 +190,7 @@ def load_mask_csv(path: Union[str, Path]) -> Mask:
 
 def save_mask_csv(mask: Mask, path: Union[str, Path]) -> None:
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in mask.indicator:
-            writer.writerow([int(v) for v in row])
+        csv.writer(fh).writerows(row.tolist() for row in mask.indicator)
 
 
 def discover_datasets(path: Union[str, Path]) -> list[DatasetRecord]:
@@ -622,9 +628,10 @@ def _refuse_oversize(need: int, who: str, what: str, dataset: DatasetRecord,
     if budget is None or need <= budget:
         return
     rows, cols = dataset.matrix.shape
+    groups = "1 group" if at_once == 1 else f"{at_once} groups"
     raise ValueError(
         f"{who} needs {need:,} bytes of {what} for dataset {dataset.name!r} "
-        f"({rows}x{cols}) with {at_once} groups at once; the process may use "
+        f"({rows}x{cols}) with {groups} at once; the process may use "
         f"{budget:,} bytes (physical memory or the cgroup limit, whichever is "
         f"smaller)"
     )

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -19,6 +20,7 @@ from imputebench.bench import (
     imputation_accuracy,
     load_csv,
     load_mask_csv,
+    read_data_csv,
     render_table,
     rmse,
     run_benchmark,
@@ -117,6 +119,56 @@ def test_mask_csv_round_trip(tmp_path):
     save_mask_csv(mask, p)
     back = load_mask_csv(p)
     assert np.array_equal(back.indicator, mask.indicator)
+
+
+# sha256 of the files these fixtures write, pinned so that a faster writer
+# keeps every byte: csv.writer's quoting of the header, repr's shortest
+# round-trip digits, CRLF line ends, and "" for a row whose only cell is NaN
+_SPECIAL_VALUES = np.array([[np.nan, -0.0, np.inf],
+                            [-np.inf, 5e-324, 1e300],
+                            [0.1, 1.0, -2.5e-7]])
+_ONE_COLUMN = np.array([[1.5], [np.nan], [-0.0]])
+_ONE_ROW = np.array([[1 / 3, -1e-300, 2.0 ** 60, np.nan]])
+_WRITER_CASES = {
+    "special": (_SPECIAL_VALUES, ["a,b", 'q"t', "z"],
+                "107fedf1562c75a4e8727b839851a3268fffc9989eb52ba8a7db382cc9220df9"),
+    "one-column": (_ONE_COLUMN, None,
+                   "59e2d4db6f95e1c637a05c0e7e8026c7887f52ebfd5d46312cc4f63828b2ede6"),
+    "one-row": (_ONE_ROW, None,
+                "93a7cf21cad1025892ceb5d4ff2120513be2f85d10141bb0a367ab4ed924e9c9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRITER_CASES))
+def test_save_csv_bytes_are_pinned_and_read_back_bit_for_bit(tmp_path, case):
+    values, columns, digest = _WRITER_CASES[case]
+    p = tmp_path / "d.csv"
+    save_csv(values, p, columns=columns)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+    back, header = read_data_csv(p)
+    assert np.array_equal(back.view(np.int64), values.view(np.int64))
+    assert list(header) == (columns or [f"x{j}" for j in range(values.shape[1])])
+
+
+def test_save_mask_csv_bytes_are_pinned(tmp_path):
+    mask = Mask((np.arange(36).reshape(9, 4) * 7 % 5 < 3).astype(np.uint8))
+    p = tmp_path / "m.csv"
+    save_mask_csv(mask, p)
+    digest = "b3f2bb1fbdd9f823b51ea8fba96efc9fde5df74b857991e2f4f5ada12cfcb30a"
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+
+
+def test_save_csv_holds_one_row_at_a_time(tmp_path):
+    values = np.random.default_rng(3).normal(size=(2000, 50))
+    values[::7, ::3] = np.nan
+    tracemalloc.start()
+    try:
+        save_csv(values, tmp_path / "d.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole table as Python floats would be about 3 MiB
+    assert peak < 2 ** 20
 
 
 def test_load_mask_csv_names_the_first_ragged_row(tmp_path):

@@ -349,10 +349,11 @@ def test_bench_oversize_knn_exits_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bench, "_physical_memory", lambda: 1024)
     assert main([
         "bench", "--datasets", str(data_dir), "--patterns", "mcar",
-        "--methods", "col-mean,knn", "--out", str(tmp_path / "o"),
+        "--methods", "col-mean,knn", "--jobs", "1", "--out", str(tmp_path / "o"),
     ]) == 2
     err = capsys.readouterr().err
     assert "'knn'" in err and "20x6" in err and "bytes" in err
+    assert "with 1 group at once;" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -367,6 +368,7 @@ def test_mask_oversize_nn_mnar_exits_two(tmp_path, capsys, monkeypatch):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "'nn-mnar'" in err and "20x6" in err and f"needs {need:,} bytes" in err
+    assert "with 1 group at once;" in err
     assert not out.exists()
     # a pattern without the bound runs, and so does nn-mnar where it fits
     assert main(["mask", "--data", str(data), "--pattern", "mcar", "--out", str(out)]) == 0
