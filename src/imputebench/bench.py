@@ -33,11 +33,11 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import DataMatrix, Mask, MaskedDataset, SeedSpec, apply_mask
+from .core import DataMatrix, Mask, MaskedDataset, SeedSpec, apply_mask, resolve_params
 from .imputers import EQUIVARIANT_METHODS, ImputationResult, Imputer, knn_peak_bytes
 from .missingness import (
     MASK_STREAM,
-    PATTERN_TAGS,
+    PATTERN_DEFAULTS,
     PatternSpec,
     generate,
     nn_mnar_peak_bytes,
@@ -83,7 +83,6 @@ class DatasetRecord:
     path: str
     matrix: DataMatrix
     columns: tuple[str, ...] = ()
-    note: str = ""
 
 
 def read_data_csv(path: Union[str, Path]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -365,9 +364,6 @@ class _SeedlessRuns:
 
 @dataclass
 class _GroupResult:
-    dataset: str
-    pattern: str
-    replicate: int
     cells: list
     timings: list
     dropped: Optional[dict]
@@ -392,8 +388,7 @@ def _run_group(
         ds, _ = standardize_observed(masked)
     except Exception as exc:  # mask-level failure drops the whole group
         return _GroupResult(
-            dataset.name, pattern, replicate, [], [],
-            dropped={**base, "reason": f"mask generation failed: {exc}"},
+            [], [], dropped={**base, "reason": f"mask generation failed: {exc}"}
         )
     digest = _dataset_digest(ds)
     runs = _SeedlessRuns(ds)
@@ -439,7 +434,7 @@ def _run_group(
             "reason": f"only {len(rmses)} methods survived; need 2 to normalize",
         }
         cells, timings = [], []
-    return _GroupResult(dataset.name, pattern, replicate, cells, timings, dropped)
+    return _GroupResult(cells, timings, dropped)
 
 
 def _normalize_patterns(
@@ -451,8 +446,7 @@ def _normalize_patterns(
             tag, params = entry, {}
         else:
             tag, params = entry[0], dict(entry[1])
-        probe = PatternSpec(tag, SeedSpec(0, "validate"), params)
-        resolved = probe.resolved_params()
+        resolved = resolve_params("pattern", tag, params, PATTERN_DEFAULTS)
         if resolved.get("p_missing") == 0:
             raise ValueError(
                 f"pattern {tag!r} with p_missing=0 produces no missing entries"
@@ -708,6 +702,8 @@ def run_benchmark(
         raise ValueError("n_seeds must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if not temperature > 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
     norm_patterns = _normalize_patterns(patterns)
 
     tasks = [
@@ -720,7 +716,7 @@ def run_benchmark(
     _refuse_oversize_knn(datasets, methods, at_once)
     for tag, params in norm_patterns:
         if tag == "nn-mnar":
-            resolved = PatternSpec(tag, SeedSpec(0, "validate"), params).resolved_params()
+            resolved = resolve_params("pattern", tag, params, PATTERN_DEFAULTS)
             refuse_oversize_nn_mnar(datasets, resolved, at_once)
     with _ONE_BLAS_THREAD:
         if jobs == 1:

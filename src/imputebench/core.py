@@ -1,4 +1,5 @@
-"""Masked-matrix data model, seeded randomness contract, and mask algebra.
+"""Masked-matrix data model, seeded randomness contract, mask algebra, and the
+parameter rule that the pattern and method registries share.
 
 Matrices are dense float64 arrays. A mask entry of 1 means the cell is
 observed; 0 means it is missing. Missing cells in an observed matrix carry
@@ -9,8 +10,9 @@ after validation, so instances are safe to share across threads.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Optional
+import inspect
+from dataclasses import asdict, dataclass, field, is_dataclass
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -25,7 +27,9 @@ __all__ = [
     "apply_mask",
     "bernoulli_mask",
     "missing_fraction",
+    "resolve_params",
     "sample_bernoulli_mask",
+    "signature_defaults",
 ]
 
 MAX_SEED = 2**64 - 1
@@ -250,3 +254,34 @@ def bernoulli_mask(p_observed: np.ndarray, rng: np.random.Generator) -> Mask:
 def sample_bernoulli_mask(p: PropensityMatrix, seed: SeedSpec) -> Mask:
     """Draw each entry observed independently with its own propensity."""
     return bernoulli_mask(p.p, seed.rng())
+
+
+def signature_defaults(fn: Callable) -> dict:
+    """A registry function's parameters after the first (the data) that may
+    be passed by position, with their defaults; a dataclass default (seq's
+    BanditConfig) contributes its fields. Keyword-only parameters (a seed,
+    censoring's directions) are left out."""
+    defaults = {}
+    for param in list(inspect.signature(fn).parameters.values())[1:]:
+        if param.kind is not param.POSITIONAL_OR_KEYWORD:
+            continue
+        if is_dataclass(param.default):
+            defaults.update(asdict(param.default))
+        else:
+            defaults[param.name] = param.default
+    return defaults
+
+
+def resolve_params(
+    kind: str, tag: str, params: Mapping, defaults: Mapping[str, dict]
+) -> dict:
+    """The registry entry ``tag``'s defaults overlaid with ``params``;
+    ``ValueError`` for a tag the registry lacks or a parameter it does not
+    declare."""
+    if tag not in defaults:
+        known = ", ".join(defaults)
+        raise ValueError(f"unknown {kind} {tag!r} (choose from: {known})")
+    unknown = set(params) - set(defaults[tag])
+    if unknown:
+        raise ValueError(f"unknown parameters for {tag!r}: {sorted(unknown)}")
+    return {**defaults[tag], **params}

@@ -25,7 +25,6 @@ time is then counted in whichever of the two cells runs first, so with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,6 +32,7 @@ import numpy as np
 from .core import DataMatrix, Mask, MaskedDataset, SeedSpec
 from .imputers import (
     EQUIVARIANT_METHODS,
+    EnsembleSpec,
     ImputationResult,
     Imputer,
     _featurized_ridge_fit,
@@ -48,22 +48,6 @@ __all__ = [
 
 # How a caller may run an equivariant base: (imputer, ds, seed) -> result.
 BaseRun = Callable[[Imputer, MaskedDataset, SeedSpec], ImputationResult]
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Names the two base methods and the permutation count."""
-
-    base_a: str = "featurized-ridge"
-    base_b: str = "soft-impute"
-    n_perms: int = 4
-    degenerate_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.n_perms < 1:
-            raise ValueError(f"n_perms must be >= 1, got {self.n_perms}")
-        if not self.degenerate_tol > 0:
-            raise ValueError("degenerate_tol must be positive")
 
 
 def _permute_dataset(

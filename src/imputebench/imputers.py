@@ -9,16 +9,17 @@ uses to weight two methods against each other.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import DataMatrix, MaskedDataset, SeedSpec
+from .core import DataMatrix, MaskedDataset, SeedSpec, resolve_params, signature_defaults
 from .featurize import _ridge_fit_predict, build_features
 
 __all__ = [
     "EQUIVARIANT_METHODS",
+    "EnsembleSpec",
     "ImputationResult",
     "Imputer",
     "METHOD_DEFAULTS",
@@ -254,6 +255,7 @@ def impute_ice(
     max_iter: int = 200,
     tol: float = 1e-5,
     ridge_lambda: float = 1e-3,
+    *,
     seed: SeedSpec = SeedSpec(0, "ice"),
 ) -> ImputationResult:
     """Column-wise ridge regression sweeps from a column-mean start.
@@ -340,18 +342,37 @@ def impute_featurized_ridge(
 # Method registry
 # ---------------------------------------------------------------------------
 
+
+@dataclass(frozen=True)
+class EnsembleSpec:
+    """Names the two base methods and the permutation count."""
+
+    base_a: str = "featurized-ridge"
+    base_b: str = "soft-impute"
+    n_perms: int = 4
+    degenerate_tol: float = 1e-12
+
+    def __post_init__(self):
+        if self.n_perms < 1:
+            raise ValueError(f"n_perms must be >= 1, got {self.n_perms}")
+        if not self.degenerate_tol > 0:
+            raise ValueError("degenerate_tol must be positive")
+
+
+# Tag order is METHOD_TAGS order; the ensemble, which builds on the others, is last.
+_IMPUTERS = {
+    "col-mean": impute_col_mean,
+    "knn": impute_knn,
+    "soft-impute": impute_soft,
+    "ice": impute_ice,
+    "featurized-ridge": impute_featurized_ridge,
+}
+
+# Each method's parameters and defaults, as its imputer's signature states
+# them (the ensemble's: the fields of EnsembleSpec).
 METHOD_DEFAULTS: dict[str, dict] = {
-    "col-mean": {},
-    "knn": {"k": 5},
-    "soft-impute": {"lam": None, "max_iter": 200, "tol": 1e-5},
-    "ice": {"max_iter": 200, "tol": 1e-5, "ridge_lambda": 1e-3},
-    "featurized-ridge": {"ridge_lambda": 1e-3},
-    "ensemble": {
-        "base_a": "featurized-ridge",
-        "base_b": "soft-impute",
-        "n_perms": 4,
-        "degenerate_tol": 1e-12,
-    },
+    **{tag: signature_defaults(fn) for tag, fn in _IMPUTERS.items()},
+    "ensemble": asdict(EnsembleSpec()),
 }
 
 METHOD_TAGS = tuple(METHOD_DEFAULTS)
@@ -373,17 +394,8 @@ class Imputer:
     name: str = ""
 
     def __post_init__(self):
-        if self.method not in METHOD_DEFAULTS:
-            known = ", ".join(METHOD_TAGS)
-            raise ValueError(f"unknown method {self.method!r} (choose from: {known})")
-        unknown = set(self.params) - set(METHOD_DEFAULTS[self.method])
-        if unknown:
-            raise ValueError(
-                f"unknown parameters for {self.method!r}: {sorted(unknown)}"
-            )
-        merged = dict(METHOD_DEFAULTS[self.method])
-        merged.update(self.params)
-        object.__setattr__(self, "params", merged)
+        params = resolve_params("method", self.method, self.params, METHOD_DEFAULTS)
+        object.__setattr__(self, "params", params)
         if not self.name:
             object.__setattr__(self, "name", self.method)
 
@@ -395,21 +407,14 @@ class Imputer:
     ) -> ImputationResult:
         """Impute ``ds``. ``base_run`` reaches only the ensemble, which runs
         its equivariant base through it (see ``ensemble.permutation_ensemble``)."""
-        p = self.params
-        if self.method == "col-mean":
-            return impute_col_mean(ds)
-        if self.method == "knn":
-            return impute_knn(ds, **p)
-        if self.method == "soft-impute":
-            return impute_soft(ds, **p)
-        if self.method == "ice":
-            return impute_ice(ds, **p, seed=seed)
-        if self.method == "featurized-ridge":
-            return impute_featurized_ridge(ds, **p)
-        # Lazy import: the ensembler builds on this registry.
-        from .ensemble import EnsembleSpec, blend
+        if self.method == "ensemble":
+            # Lazy import: the ensembler builds on this registry.
+            from .ensemble import blend
 
-        return blend(ds, EnsembleSpec(**p), seed, base_run)
+            return blend(ds, EnsembleSpec(**self.params), seed, base_run)
+        if self.method == "ice":
+            return impute_ice(ds, **self.params, seed=seed)
+        return _IMPUTERS[self.method](ds, **self.params)
 
 
 def make_imputer(method: str, name: str = "", **params) -> Imputer:

@@ -11,14 +11,14 @@ missing) mask comes out.
 
 from __future__ import annotations
 
-import inspect
 import math
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .core import DataMatrix, DegenerateMaskError, Mask, SeedSpec, bernoulli_mask
+from .core import resolve_params, signature_defaults
 
 __all__ = [
     "BanditConfig",
@@ -858,20 +858,11 @@ class PatternSpec:
     params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.pattern not in PATTERN_DEFAULTS:
-            known = ", ".join(PATTERN_TAGS)
-            raise ValueError(f"unknown pattern {self.pattern!r} (choose from: {known})")
-        unknown = set(self.params) - set(PATTERN_DEFAULTS[self.pattern])
-        if unknown:
-            raise ValueError(
-                f"unknown parameters for {self.pattern!r}: {sorted(unknown)}"
-            )
         object.__setattr__(self, "params", dict(self.params))
+        self.resolved_params()
 
     def resolved_params(self) -> dict:
-        merged = dict(PATTERN_DEFAULTS[self.pattern])
-        merged.update(self.params)
-        return merged
+        return resolve_params("pattern", self.pattern, self.params, PATTERN_DEFAULTS)
 
 
 # Tag order is PATTERN_TAGS order, the cell order of ``--patterns all``.
@@ -892,25 +883,9 @@ _GENERATORS = {
 }
 
 
-def _signature_defaults(gen) -> dict:
-    """A generator's parameters after the data matrix that may be passed by
-    position, with their defaults; a dataclass default (seq's BanditConfig)
-    contributes its fields. Keyword-only parameters (seed, censoring's
-    directions) are left out."""
-    defaults = {}
-    for param in list(inspect.signature(gen).parameters.values())[1:]:
-        if param.kind is not param.POSITIONAL_OR_KEYWORD:
-            continue
-        if is_dataclass(param.default):
-            defaults.update(asdict(param.default))
-        else:
-            defaults[param.name] = param.default
-    return defaults
-
-
 # Each pattern's parameters and defaults, as its generator's signature states them.
 PATTERN_DEFAULTS: dict[str, dict] = {
-    tag: _signature_defaults(gen) for tag, gen in _GENERATORS.items()
+    tag: signature_defaults(gen) for tag, gen in _GENERATORS.items()
 }
 
 PATTERN_TAGS = tuple(PATTERN_DEFAULTS)

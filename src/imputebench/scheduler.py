@@ -22,7 +22,7 @@ def softmax_proportions(losses: Sequence[float], temperature: float = 1.0) -> np
 
     Losses enter un-negated: a higher loss yields a higher proportion.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     arr = np.asarray(losses, dtype=float)
     if arr.size == 0:
@@ -50,7 +50,7 @@ class ProportionState:
             raise ValueError("need at least one pattern")
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError("temperature must be positive")
         props = np.array(self.proportions, dtype=float, copy=True)
         if props.shape != (len(self.patterns),):

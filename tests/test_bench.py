@@ -411,7 +411,7 @@ def _count_soft_impute(monkeypatch, fail=False):
             raise RuntimeError("soft-impute failed")
         return real(ds, **params)
 
-    monkeypatch.setattr(imputers, "impute_soft", counting)
+    monkeypatch.setitem(imputers._IMPUTERS, "soft-impute", counting)
     return calls
 
 
@@ -724,6 +724,19 @@ def test_config_validation():
     with pytest.raises(ValueError):
         run_benchmark(ds, ["mcar"], [make_imputer("col-mean"),
                                      make_imputer("col-mean")])
+
+
+def test_bad_temperature_is_refused_before_any_group_runs(monkeypatch):
+    def no_group(*args):
+        raise AssertionError("a group ran")
+
+    monkeypatch.setattr(bench, "_run_group", no_group)
+    ds = [_lfm_record("d0", 9)]
+    methods = [make_imputer("col-mean"), make_imputer("soft-impute")]
+    for temperature in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            run_benchmark(ds, ["mcar"], methods, n_seeds=1,
+                          adaptive_proportions=True, temperature=temperature)
 
 
 def test_duplicate_pattern_tags_are_refused():

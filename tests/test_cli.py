@@ -326,6 +326,21 @@ def test_bench_config_errors_exit_two(tmp_path, capsys):
     ]) == 2
 
 
+def test_bench_bad_temperature_exits_two_without_a_report(tmp_path, capsys):
+    data_dir = tmp_path / "datasets"
+    data_dir.mkdir()
+    _gen_dataset(data_dir, name="d.csv")
+    for temperature in ("0", "nan"):
+        out = tmp_path / f"o-{temperature}"
+        assert main([
+            "bench", "--datasets", str(data_dir), "--patterns", "mcar",
+            "--adaptive-proportions", "--temperature", temperature,
+            "--methods", "col-mean,soft-impute", "--seeds", "1", "--out", str(out),
+        ]) == 2
+        assert "temperature must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_bench_duplicate_patterns_exit_two(tmp_path, capsys):
     data_dir = tmp_path / "datasets"
     data_dir.mkdir()

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from imputebench.core import DataMatrix, Mask, SeedSpec, apply_mask
 from imputebench.datagen import LfmSpec, sample_lfm
-from imputebench import imputers
+from imputebench import ensemble, imputers
 from imputebench.imputers import (
+    METHOD_DEFAULTS,
     METHOD_TAGS,
     _centered_ridge,
     _column_means,
@@ -811,3 +812,68 @@ def test_registry_validates_methods_and_params():
         make_imputer("knn", neighbors=3)
     imp = make_imputer("knn", k=7, name="knn7")
     assert imp.params["k"] == 7 and imp.name == "knn7"
+
+
+# The method table written out: the table derived from the imputers'
+# signatures must keep its keys, order, values and value types.
+_PINNED_METHOD_DEFAULTS = {
+    "col-mean": {},
+    "knn": {"k": 5},
+    "soft-impute": {"lam": None, "max_iter": 200, "tol": 1e-5},
+    "ice": {"max_iter": 200, "tol": 1e-5, "ridge_lambda": 1e-3},
+    "featurized-ridge": {"ridge_lambda": 1e-3},
+    "ensemble": {
+        "base_a": "featurized-ridge",
+        "base_b": "soft-impute",
+        "n_perms": 4,
+        "degenerate_tol": 1e-12,
+    },
+}
+
+
+def test_method_defaults_are_pinned():
+    assert METHOD_TAGS == tuple(_PINNED_METHOD_DEFAULTS)
+    assert list(METHOD_DEFAULTS) == list(_PINNED_METHOD_DEFAULTS)
+    for tag, pinned in _PINNED_METHOD_DEFAULTS.items():
+        got = METHOD_DEFAULTS[tag]
+        assert list(got) == list(pinned), tag
+        assert got == pinned, tag
+        assert [type(v) for v in got.values()] == [type(v) for v in pinned.values()], tag
+
+
+def test_every_method_tag_dispatches_to_its_own_imputer():
+    ds = _random_ds(12, 7, 0.35, 55, rank=3)
+    for tag in METHOD_TAGS:
+        imp = make_imputer(tag)
+        assert imp.params == METHOD_DEFAULTS[tag]
+        assert imp.run(ds, SEED).diagnostics["method"] == tag
+
+
+def test_registry_error_messages_are_pinned():
+    cases = [
+        (lambda: make_imputer("mice"),
+         "unknown method 'mice' (choose from: col-mean, knn, soft-impute, ice, "
+         "featurized-ridge, ensemble)"),
+        (lambda: make_imputer("knn", neighbors=3, k=2, alpha=1),
+         "unknown parameters for 'knn': ['alpha', 'neighbors']"),
+        (lambda: PatternSpec("mar", SEED),
+         "unknown pattern 'mar' (choose from: mcar, col-mar, nn-mnar, "
+         "self-masking, censoring, panel, polarization-hard, polarization-soft, "
+         "latent-factor, cluster, two-phase, block, seq)"),
+        (lambda: PatternSpec("mcar", SEED, {"q_censor": 0.2}),
+         "unknown parameters for 'mcar': ['q_censor']"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_ensemble_spec_is_one_object():
+    assert ensemble.EnsembleSpec is imputers.EnsembleSpec
+
+
+def test_ice_seed_is_keyword_only():
+    ds = _random_ds(8, 5, 0.3, 56)
+    with pytest.raises(TypeError):
+        impute_ice(ds, 20, 1e-5, 1e-3, SEED)

@@ -43,8 +43,11 @@ def test_matches_independent_direct_formula():
 def test_softmax_input_validation():
     with pytest.raises(ValueError):
         softmax_proportions([])
-    with pytest.raises(ValueError):
-        softmax_proportions([1.0], temperature=0.0)
+    for temperature in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            softmax_proportions([1.0], temperature=temperature)
+        with pytest.raises(ValueError):
+            uniform_state(["p", "q"], temperature=temperature)
     with pytest.raises(ValueError):
         softmax_proportions([np.inf, 1.0])
 
