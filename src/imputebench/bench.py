@@ -28,12 +28,14 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .core import DataMatrix, Mask, MaskedDataset, SeedSpec, apply_mask, resolve_params
+from .featurize import featurized_ridge_peak_bytes
 from .imputers import EQUIVARIANT_METHODS, ImputationResult, Imputer, knn_peak_bytes
 from .missingness import (
     MASK_STREAM,
@@ -56,6 +58,7 @@ __all__ = [
     "load_csv",
     "load_mask_csv",
     "read_data_csv",
+    "refuse_oversize",
     "rmse",
     "run_benchmark",
     "save_csv",
@@ -613,51 +616,55 @@ def _physical_memory() -> Optional[int]:
     return min(known) if known else None
 
 
-def _refuse_oversize(need: int, who: str, what: str, dataset: DatasetRecord,
-                     at_once: int) -> None:
-    """Raise when ``need`` bytes of ``who``'s ``what`` for ``dataset``,
-    ``at_once`` groups side by side, exceed the memory the process may use
-    (``_physical_memory``)."""
+def refuse_oversize(
+    shapes: Mapping[str, tuple[int, int]],
+    patterns: Sequence[tuple[str, Mapping]],
+    methods: Sequence[Imputer],
+    at_once: int = 1,
+) -> None:
+    """Raise ``ValueError`` before anything runs when a bounded need, for the
+    dataset that needs the most, ``at_once`` groups side by side, exceeds the
+    memory the process may use (``_physical_memory``).
+
+    ``shapes`` maps each dataset name to its (rows, cols) and ``patterns``
+    holds (tag, resolved params) pairs. The bounded needs are knn's m x m
+    arrays (``knn_peak_bytes``) and featurized ridge's normal equations
+    (``featurized_ridge_peak_bytes``), as a method or as an ensemble base,
+    and nn-mnar's neighborhood arrays at the upper ends of its resolved
+    ranges (``nn_mnar_peak_bytes``). They are checked in that order and the
+    first that does not fit is reported.
+    """
+    knn, ridge = [], []  # needs: (who, what, bytes for an m x n dataset)
+    for imputer in methods:
+        who, runs = f"method {imputer.name!r}", [imputer]
+        for run in runs:  # an ensemble appends its two bases
+            if run.method == "ensemble":
+                runs += [Imputer(run.params["base_a"]), Imputer(run.params["base_b"])]
+            elif run.method == "knn":
+                knn.append((who, "knn row distances", lambda m, n: knn_peak_bytes(m)))
+            elif run.method == "featurized-ridge":
+                ridge.append((who, "featurized ridge normal equations",
+                              partial(featurized_ridge_peak_bytes,
+                                      ridge_lambda=run.params["ridge_lambda"])))
+    nn_mnar = [
+        (f"pattern {tag!r}", "neighborhood arrays",
+         partial(nn_mnar_peak_bytes, size_hi=params["neighborhood_size_range"][1],
+                 width_hi=params["width_range"][1]))
+        for tag, params in patterns if tag == "nn-mnar"
+    ]
     budget = _physical_memory()
-    if budget is None or need <= budget:
-        return
-    rows, cols = dataset.matrix.shape
-    groups = "1 group" if at_once == 1 else f"{at_once} groups"
-    raise ValueError(
-        f"{who} needs {need:,} bytes of {what} for dataset {dataset.name!r} "
-        f"({rows}x{cols}) with {groups} at once; the process may use "
-        f"{budget:,} bytes (physical memory or the cgroup limit, whichever is "
-        f"smaller)"
-    )
-
-
-def _refuse_oversize_knn(
-    datasets: Sequence[DatasetRecord], methods: Sequence[Imputer], at_once: int
-) -> None:
-    """Raise before any group runs when knn's m x m arrays for the tallest
-    dataset, ``at_once`` groups side by side, do not fit."""
-    users = [m.name for m in methods
-             if "knn" in (m.method, m.params.get("base_a"), m.params.get("base_b"))]
-    if users:
-        tallest = max(datasets, key=lambda d: d.matrix.shape[0])
-        need = at_once * knn_peak_bytes(tallest.matrix.shape[0])
-        _refuse_oversize(need, f"method {users[0]!r}", "knn row distances", tallest, at_once)
-
-
-def refuse_oversize_nn_mnar(
-    datasets: Sequence[DatasetRecord], params: Mapping, at_once: int = 1
-) -> None:
-    """Raise before any mask is drawn when nn-mnar's neighborhood arrays, at
-    the resolved ``params``' largest neighborhood and width, for the largest
-    dataset, ``at_once`` groups side by side, do not fit."""
-    size_hi, width_hi = params["neighborhood_size_range"][1], params["width_range"][1]
-
-    def peak(d: DatasetRecord) -> int:
-        return nn_mnar_peak_bytes(*d.matrix.shape, size_hi, width_hi)
-
-    largest = max(datasets, key=peak)
-    _refuse_oversize(at_once * peak(largest), "pattern 'nn-mnar'", "neighborhood arrays",
-                     largest, at_once)
+    for who, what, peak in knn + ridge + nn_mnar:
+        name = max(shapes, key=lambda d: peak(*shapes[d]))
+        need = at_once * peak(*shapes[name])
+        if budget is not None and need > budget:
+            rows, cols = shapes[name]
+            groups = "1 group" if at_once == 1 else f"{at_once} groups"
+            raise ValueError(
+                f"{who} needs {need:,} bytes of {what} for dataset {name!r} "
+                f"({rows}x{cols}) with {groups} at once; the process may use "
+                f"{budget:,} bytes (physical memory or the cgroup limit, whichever "
+                f"is smaller)"
+            )
 
 
 def run_benchmark(
@@ -679,11 +686,8 @@ def run_benchmark(
     core count; the caller's thread count is restored on return or raise.
     A BLAS without that setter keeps its own count, as before. The setting
     is process-wide, so the host program's other threads also see one BLAS
-    thread while the grid runs. A grid that lists ``knn`` (as a method or an
-    ensemble base) or ``nn-mnar`` is refused up front with ``ValueError``
-    when knn's m x m arrays or nn-mnar's neighborhood arrays
-    (``nn_mnar_peak_bytes``), times the groups that run at once, exceed
-    physical memory or the cgroup v2 memory limit, whichever is smaller.
+    thread while the grid runs. A grid that would not fit in memory with
+    ``jobs`` groups at once is refused up front (``refuse_oversize``).
     """
     if not datasets:
         raise ValueError("need at least one dataset")
@@ -712,12 +716,9 @@ def run_benchmark(
         for tag, params in norm_patterns
         for replicate in range(n_seeds)
     ]
-    at_once = min(jobs, len(tasks))
-    _refuse_oversize_knn(datasets, methods, at_once)
-    for tag, params in norm_patterns:
-        if tag == "nn-mnar":
-            resolved = resolve_params("pattern", tag, params, PATTERN_DEFAULTS)
-            refuse_oversize_nn_mnar(datasets, resolved, at_once)
+    resolved = [(t, resolve_params("pattern", t, p, PATTERN_DEFAULTS)) for t, p in norm_patterns]
+    refuse_oversize({d.name: d.matrix.shape for d in datasets}, resolved, methods,
+                    min(jobs, len(tasks)))
     with _ONE_BLAS_THREAD:
         if jobs == 1:
             results = [

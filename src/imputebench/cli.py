@@ -158,8 +158,8 @@ def _cmd_mask(args) -> int:
     record = bench_mod.load_csv(args.data)
     overrides = _given(args, PATTERN_DEFAULTS)
     spec = PatternSpec(args.pattern, SeedSpec(args.seed, args.pattern), overrides)
-    if args.pattern == "nn-mnar":
-        bench_mod.refuse_oversize_nn_mnar([record], spec.resolved_params())
+    bench_mod.refuse_oversize({record.name: record.matrix.shape},
+                              [(args.pattern, spec.resolved_params())], [])
     mask = generate(spec, record.matrix)
     bench_mod.save_mask_csv(mask, args.out)
     sidecar = Path(args.sidecar) if args.sidecar else Path(str(args.out) + ".json")
@@ -205,6 +205,7 @@ def _cmd_impute(args) -> int:
         mask=mask, observed=np.where(mask.observed, values, np.nan), truth=None
     )
     imputer = make_imputer(args.method, **_given(args, METHOD_DEFAULTS))
+    bench_mod.refuse_oversize({Path(args.data).stem: values.shape}, [], [imputer])
     result = imputer.run(ds, SeedSpec(args.seed, f"impute/{args.method}"))
     bench_mod.save_csv(result.completed.values, args.out, columns)
     diag_path = Path(args.diagnostics) if args.diagnostics else Path(str(args.out) + ".json")

@@ -207,7 +207,7 @@ def impute_soft(
     the Gram matrix of the shorter side (``_soft_threshold``), which
     agrees with a thin SVD to about 1e-14 of the largest entry.
     """
-    if lam is not None and lam < 0:
+    if lam is not None and not lam >= 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -263,6 +263,8 @@ def impute_ice(
     Columns with missing entries are visited in one seed-fixed random order
     per sweep until the largest imputed-value update drops below tol.
     """
+    if not ridge_lambda >= 0:
+        raise ValueError(f"ridge penalty must be >= 0, got {ridge_lambda}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     m, n = ds.shape

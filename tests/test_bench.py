@@ -31,6 +31,7 @@ from imputebench.bench import (
 from imputebench.core import DataMatrix, Mask, SeedSpec, apply_mask
 from imputebench.datagen import LfmSpec, sample_lfm
 from imputebench.ensemble import EnsembleSpec, blend
+from imputebench.featurize import featurized_ridge_peak_bytes
 from imputebench.imputers import ImputationResult, Imputer, make_imputer
 from imputebench.missingness import (
     MASK_STREAM,
@@ -683,6 +684,38 @@ def test_oversize_nn_mnar_is_refused_before_any_group_runs(monkeypatch):
     run_benchmark([wide], [wide_hood], methods, n_seeds=1, jobs=4)
     monkeypatch.setattr(bench, "_physical_memory", lambda: 1024)
     run_benchmark([small, wide], ["mcar", "panel"], methods, n_seeds=2, jobs=2)
+
+
+def test_oversize_featurized_ridge_is_refused_before_any_group_runs(monkeypatch):
+    small, wide = _lfm_record("d0", 24), _lfm_record("d1", 25, m=20, n=40)
+    zero = make_imputer("featurized-ridge", name="fr0", ridge_lambda=0.0)
+    need = featurized_ridge_peak_bytes(20, 40, 0.0)
+    assert need > featurized_ridge_peak_bytes(30, 8, 0.0)
+
+    def no_group(*args):
+        raise AssertionError("a group ran")
+
+    monkeypatch.setattr(bench, "_run_group", no_group)
+    monkeypatch.setattr(bench, "_physical_memory", lambda: 2 * need - 1)
+    with pytest.raises(ValueError) as err:
+        run_benchmark([small, wide], ["mcar"], [make_imputer("col-mean"), zero],
+                      n_seeds=1, jobs=2)
+    assert str(err.value).startswith(
+        f"method 'fr0' needs {2 * need:,} bytes of featurized ridge normal equations "
+        f"for dataset 'd1' (20x40) with 2 groups at once;")
+    # an ensemble's featurized-ridge base counts at its default penalty
+    base = featurized_ridge_peak_bytes(20, 40, 1e-3)
+    monkeypatch.setattr(bench, "_physical_memory", lambda: base - 1)
+    with pytest.raises(ValueError, match=f"method 'ens' needs {base:,} bytes"):
+        run_benchmark([small, wide], ["mcar"],
+                      [make_imputer("col-mean"), make_imputer("ensemble", name="ens")],
+                      n_seeds=1)
+    # the default penalty's narrower system fits where the zero penalty's did not
+    monkeypatch.undo()
+    monkeypatch.setattr(bench, "_physical_memory", lambda: 2 * need - 1)
+    run_benchmark([small, wide], ["mcar"],
+                  [make_imputer("col-mean"), make_imputer("featurized-ridge")],
+                  n_seeds=1, jobs=2)
 
 
 def test_memory_budget_is_the_smaller_of_physical_and_cgroup(monkeypatch, tmp_path):

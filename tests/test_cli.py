@@ -6,7 +6,8 @@ import pytest
 
 from imputebench.bench import load_csv, load_mask_csv, read_data_csv, save_csv
 from imputebench.cli import _parse_cols, _parse_range, build_parser, main
-from imputebench.imputers import METHOD_DEFAULTS
+from imputebench.featurize import featurized_ridge_peak_bytes
+from imputebench.imputers import METHOD_DEFAULTS, knn_peak_bytes
 from imputebench.missingness import PATTERN_DEFAULTS, nn_mnar_peak_bytes
 
 
@@ -392,6 +393,60 @@ def test_mask_oversize_nn_mnar_exits_two(tmp_path, capsys, monkeypatch):
     # the flags are resolved before the check
     assert main(argv + ["--neighborhood-size-range", "3:9"]) == 2
     assert f"needs {nn_mnar_peak_bytes(20, 6, 9, 16):,} bytes" in capsys.readouterr().err
+
+
+def test_impute_oversize_exits_two(tmp_path, capsys, monkeypatch):
+    import imputebench.bench as bench
+
+    data = _gen_dataset(tmp_path, name="d.csv")  # 20 x 6
+    mask, out = tmp_path / "m.csv", tmp_path / "o.csv"
+    assert main(["mask", "--data", str(data), "--pattern", "mcar", "--out", str(mask)]) == 0
+
+    def impute(*flags):
+        return main(["impute", "--data", str(data), "--mask", str(mask),
+                     "--out", str(out), *flags])
+
+    knn, ridge = "knn row distances", "featurized ridge normal equations"
+    for flags, who, what, need in (
+        (["--method", "knn"], "'knn'", knn, knn_peak_bytes(20)),
+        (["--method", "ensemble", "--base-a", "knn"], "'ensemble'", knn, knn_peak_bytes(20)),
+        (["--method", "ensemble"], "'ensemble'", ridge, featurized_ridge_peak_bytes(20, 6, 1e-3)),
+        (["--method", "featurized-ridge", "--ridge-lambda", "0"], "'featurized-ridge'", ridge,
+         featurized_ridge_peak_bytes(20, 6, 0.0)),
+    ):
+        monkeypatch.setattr(bench, "_physical_memory", lambda: need - 1)
+        assert impute(*flags) == 2, flags
+        err = capsys.readouterr().err
+        assert (f"method {who} needs {need:,} bytes of {what} for dataset 'd' (20x6) "
+                f"with 1 group at once; the process may use {need - 1:,} bytes") in err
+        assert not out.exists() and not (tmp_path / "o.csv.json").exists()
+    # a budget equal to the need fits
+    monkeypatch.setattr(bench, "_physical_memory", lambda: knn_peak_bytes(20))
+    assert impute("--method", "knn") == 0 and out.exists()
+    # the default positive penalty solves the narrower system, which fits
+    # where the zero penalty's did not
+    out.unlink()
+    monkeypatch.setattr(bench, "_physical_memory",
+                        lambda: featurized_ridge_peak_bytes(20, 6, 0.0) - 1)
+    assert impute("--method", "featurized-ridge") == 0 and out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--method", "soft-impute", "--lambda", "nan"], "lam must be >= 0, got nan"),
+    (["--method", "soft-impute", "--lambda", "-1"], "lam must be >= 0, got -1.0"),
+    (["--method", "ice", "--ridge-lambda", "-5"], "ridge penalty must be >= 0, got -5.0"),
+    (["--method", "ice", "--ridge-lambda", "nan"], "ridge penalty must be >= 0, got nan"),
+    (["--method", "featurized-ridge", "--ridge-lambda", "nan"],
+     "ridge penalty must be >= 0, got nan"),
+])
+def test_impute_refuses_a_negative_or_nan_penalty(tmp_path, capsys, flags, message):
+    data = _gen_dataset(tmp_path)
+    mask, out = tmp_path / "m.csv", tmp_path / "o.csv"
+    assert main(["mask", "--data", str(data), "--pattern", "mcar", "--out", str(mask)]) == 0
+    assert main(["impute", "--data", str(data), "--mask", str(mask),
+                 "--out", str(out), *flags]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "o.csv.json").exists()
 
 
 def test_bench_partial_failure_exits_three(tmp_path, capsys):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +13,6 @@ from imputebench.ensemble import (
 )
 from imputebench.imputers import (
     EQUIVARIANT_METHODS,
-    METHOD_DEFAULTS,
     ImputationResult,
     Imputer,
     make_imputer,
@@ -402,6 +399,3 @@ def test_ensemble_registry_method_runs():
     assert np.array_equal(res.completed.values[obs], ds.observed[obs])
     assert "weight" in res.diagnostics
 
-
-def test_registry_defaults_are_the_spec_defaults():
-    assert METHOD_DEFAULTS["ensemble"] == dataclasses.asdict(EnsembleSpec())

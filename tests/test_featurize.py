@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from imputebench.ensemble import permutation_ensemble
 from imputebench.featurize import (
     SingularSystemError,
     build_features,
+    featurized_ridge_peak_bytes,
     ridge_on_features,
     _ridge_fit_predict,
     _row_space,
@@ -208,6 +210,37 @@ def test_ridge_rejects_negative_penalty():
     ds = _masked([[1.0, 2.0]], [[1, 0]])
     with pytest.raises(ValueError):
         ridge_on_features(build_features(ds), -1.0)
+
+
+@pytest.mark.parametrize("shape", [(150, 40), (40, 150), (300, 20), (60, 60)])
+@pytest.mark.parametrize("ridge_lambda", [0.0, 1e-3])
+@pytest.mark.parametrize("k", [1, 4])
+def test_featurized_ridge_peak_bytes_bounds_the_traced_peak(shape, ridge_lambda, k):
+    # an upper bound that is not loose: the plain fit and the ensemble's
+    # four-assignment average peak at 0.44-0.66 of it here
+    rng = np.random.default_rng(18)
+    m, n = shape
+    truth = rng.normal(size=(m, 3)) @ rng.normal(size=(3, n)) + 0.1 * rng.normal(size=shape)
+    ft = build_features(_masked(truth, (rng.random(shape) < 0.7).astype(np.uint8)))
+    positions = None if k == 1 else [
+        (np.argsort(rng.permutation(m)), np.argsort(rng.permutation(n))) for _ in range(k)
+    ]
+    _ridge_fit_predict(ft, ridge_lambda, positions)  # warm up
+    tracemalloc.start()
+    try:
+        _ridge_fit_predict(ft, ridge_lambda, positions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = featurized_ridge_peak_bytes(m, n, ridge_lambda)
+    assert 0.4 * bound <= peak <= bound, peak / bound
+
+
+def test_featurized_ridge_peak_bytes_counts_the_solved_width():
+    # p = 2m + 2n at a zero penalty, min(m, 2n) + min(n, 2m) above it
+    assert featurized_ridge_peak_bytes(3000, 20, 0.0) == 32 * 6040**2 + 128 * 60000
+    assert featurized_ridge_peak_bytes(3000, 20, 1e-3) == 32 * 60**2 + 128 * 60000
+    assert featurized_ridge_peak_bytes(8, 40, 1.0) == 32 * 24**2 + 128 * 320
 
 
 def test_ridge_train_fit_dimensions():

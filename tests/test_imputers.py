@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -716,6 +717,19 @@ def test_featurized_ridge_never_allocates_the_feature_table():
     finally:
         tracemalloc.stop()
     assert peak < table_bytes / 4, peak / 2**20
+
+
+@pytest.mark.parametrize("tag, key, name", [
+    ("soft-impute", "lam", "lam"),
+    ("ice", "ridge_lambda", "ridge penalty"),
+    ("featurized-ridge", "ridge_lambda", "ridge penalty"),
+])
+@pytest.mark.parametrize("penalty", [-1.0, -1e-300, float("nan")])
+def test_penalties_must_be_non_negative(tag, key, name, penalty):
+    ds = _random_ds(8, 4, 0.3, 54)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be >= 0, got {penalty}")):
+        make_imputer(tag, **{key: penalty}).run(ds, SEED)
+    make_imputer(tag, **{key: 0.5}).run(ds, SEED)
 
 
 # ---------------------------------------------------------------------------
