@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .core import DataMatrix, MaskedDataset, SeedSpec, resolve_params, signature_defaults
-from .featurize import _ridge_fit_predict, build_features
+from .featurize import _ridge_fit_predict, _solve, build_features
 
 __all__ = [
     "EQUIVARIANT_METHODS",
@@ -70,21 +70,6 @@ def _mean_fill(ds: MaskedDataset) -> np.ndarray:
 # GIL for the whole BLAS call when its output is small (a 20x20 Gram or a
 # scalar), which keeps bench --jobs threads from overlapping. np.dot releases
 # it and returns the same bits.
-
-
-def _centered_ridge(
-    a: np.ndarray, y: np.ndarray, lam: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Closed-form ridge with an unpenalized intercept via centering."""
-    if a.shape[1] == 0:
-        mean = y.mean()
-        return lambda b: np.full(b.shape[0], mean)
-    mu = a.mean(axis=0)
-    ym = y.mean()
-    a_c = a - mu
-    gram = np.dot(a_c.T, a_c) + lam * np.eye(a.shape[1])
-    beta = np.linalg.solve(gram, np.dot(a_c.T, y - ym))
-    return lambda b: np.dot(b - mu, beta) + ym
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +203,15 @@ def impute_soft(
     observed = ds.mask.observed
     x_obs = ds.observed[observed]
     # z.ravel()[obs_idx] is z[observed] without a boolean gather per iteration
-    obs_idx = np.flatnonzero(observed)
+    obs_idx, miss_idx = np.flatnonzero(observed), np.flatnonzero(~observed)
     objective = [_soft_objective(x_obs, z.ravel()[obs_idx], lam, spectrum)]
+    # w is z with the observed values restored; they never change, so each
+    # step refills only the missing cells
+    w = np.array(z)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        w = np.where(observed, ds.observed, z)
+        w.ravel()[miss_idx] = z.ravel()[miss_idx]
         z_new, spectrum = _soft_threshold(w, lam)
         denom = max(float(np.linalg.norm(z)), 1e-12)
         change = float(np.linalg.norm(z_new - z)) / denom
@@ -261,7 +249,9 @@ def impute_ice(
     """Column-wise ridge regression sweeps from a column-mean start.
 
     Columns with missing entries are visited in one seed-fixed random order
-    per sweep until the largest imputed-value update drops below tol.
+    per sweep until the largest imputed-value update drops below tol. Each
+    visit fits a ridge with a centred, unpenalized intercept to the column's
+    observed rows and rewrites its missing cells.
     """
     if not ridge_lambda >= 0:
         raise ValueError(f"ridge penalty must be >= 0, got {ridge_lambda}")
@@ -270,26 +260,38 @@ def impute_ice(
     m, n = ds.shape
     obs = ds.mask.observed
     z = _mean_fill(ds)
-    # Per column: the predictor columns, the observed (train) and missing
-    # (test) rows and the observed targets. Sweeps only rewrite test rows.
-    predictors = [np.delete(np.arange(n), j) for j in range(n)]
-    train = [np.flatnonzero(obs[:, j]) for j in range(n)]
-    test = [np.flatnonzero(~obs[:, j]) for j in range(n)]
-    targets = [ds.observed[train[j], j] for j in range(n)]
-    incomplete = [j for j in range(n) if train[j].size and test[j].size]
-    order = seed.rng().permutation(incomplete) if incomplete else []
+    penalty = ridge_lambda * np.eye(n - 1)
+    # Per column, fixed for the call: the flat indices into z (row * n +
+    # column) of the observed (train) and missing (test) rows' predictor
+    # cells and of the test cells, and the observed target, centred.
+    cells = np.arange(m * n).reshape(m, n)
+    columns = []
+    for j, train in enumerate(obs.T):
+        others, y, test = np.delete(cells, j, axis=1), ds.observed[train, j], ~train
+        y_mean = y.mean() if y.size else 0.0
+        columns.append((others[train], others[test], cells[test, j], y - y_mean, y_mean))
 
+    def predict(j: int, x: np.ndarray) -> np.ndarray:
+        """Ridge fit of column j on the current z, predicted at the rows x."""
+        train_cells, _, _, y_c, y_mean = columns[j]
+        a = z.take(train_cells)
+        mu = a.mean(axis=0)
+        a_c = a - mu
+        beta = _solve(np.dot(a_c.T, a_c) + penalty, np.dot(a_c.T, y_c))
+        return np.dot(x - mu, beta) + y_mean
+
+    count = obs.sum(axis=0)
+    incomplete = [j for j in range(n) if 0 < count[j] < m]
+    order = seed.rng().permutation(incomplete) if incomplete else []
     iterations = 0
     converged = n == 1 or not incomplete
     for iterations in range(1, max_iter + 1):
         max_change = 0.0
         for j in order:
-            model = _centered_ridge(
-                z[np.ix_(train[j], predictors[j])], targets[j], ridge_lambda
-            )
-            new_vals = model(z[np.ix_(test[j], predictors[j])])
-            max_change = max(max_change, float(np.abs(new_vals - z[test[j], j]).max()))
-            z[test[j], j] = new_vals
+            _, test_cells, missing, _, _ = columns[j]
+            new_vals = predict(j, z.take(test_cells))
+            max_change = max(max_change, float(np.abs(new_vals - z.take(missing)).max()))
+            z.put(missing, new_vals)
         if max_change < tol:
             converged = True
             break
@@ -298,13 +300,9 @@ def impute_ice(
 
     fitted = np.array(z)
     for j in range(n):
-        if not train[j].size:
-            fitted[:, j] = 0.0
-            continue
-        model = _centered_ridge(
-            z[np.ix_(train[j], predictors[j])], targets[j], ridge_lambda
-        )
-        fitted[:, j] = model(z[:, predictors[j]])
+        # z[:, predictors] is F-ordered; a C-ordered take of every row's
+        # predictor cells would move the predictions' last bits
+        fitted[:, j] = predict(j, z[:, np.delete(np.arange(n), j)]) if count[j] else 0.0
     diagnostics = {
         "method": "ice",
         "iterations": iterations,
@@ -397,6 +395,11 @@ class Imputer:
 
     def __post_init__(self):
         params = resolve_params("method", self.method, self.params, METHOD_DEFAULTS)
+        # refused here, before bench.refuse_oversize sizes featurized ridge
+        # from it, where a NaN or negative penalty reads as zero
+        penalty = params.get("ridge_lambda", 0.0)
+        if not penalty >= 0:
+            raise ValueError(f"ridge penalty must be >= 0, got {penalty}")
         object.__setattr__(self, "params", params)
         if not self.name:
             object.__setattr__(self, "name", self.method)

@@ -159,6 +159,21 @@ def test_impute_singular_ridge_exits_two(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_impute_singular_ice_asks_for_a_larger_penalty(tmp_path, capsys):
+    # one observed cell in the second column: at a zero penalty both columns'
+    # centred predictor blocks are all zeros
+    src, out = tmp_path / "d.csv", tmp_path / "o.csv"
+    src.write_text("a,b\n1,2\n2,\n3,\n4,\n")
+    code = main(["impute", "--data", str(src), "--method", "ice", "--ridge-lambda", "0",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("error: normal equations are singular at this penalty; retry with a "
+                   "larger ridge_lambda\n")
+    assert not out.exists() and not (tmp_path / "o.csv.json").exists()
+    assert main(["impute", "--data", str(src), "--method", "ice", "--out", str(out)]) == 0
+
+
 def test_impute_ragged_mask_exits_two_naming_the_row(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text("a,b,c\n1,2,3\n4,5,6\n")
@@ -438,11 +453,19 @@ def test_impute_oversize_exits_two(tmp_path, capsys, monkeypatch):
     (["--method", "ice", "--ridge-lambda", "nan"], "ridge penalty must be >= 0, got nan"),
     (["--method", "featurized-ridge", "--ridge-lambda", "nan"],
      "ridge penalty must be >= 0, got nan"),
+    (["--method", "featurized-ridge", "--ridge-lambda", "-1"],
+     "ridge penalty must be >= 0, got -1.0"),
 ])
-def test_impute_refuses_a_negative_or_nan_penalty(tmp_path, capsys, flags, message):
+def test_impute_refuses_a_negative_or_nan_penalty(tmp_path, capsys, monkeypatch, flags,
+                                                  message):
+    import imputebench.bench as bench
+
     data = _gen_dataset(tmp_path)
     mask, out = tmp_path / "m.csv", tmp_path / "o.csv"
     assert main(["mask", "--data", str(data), "--pattern", "mcar", "--out", str(mask)]) == 0
+    # the penalty is refused before the memory rule sizes featurized ridge
+    # from it, which would read NaN or -1 as zero and refuse the input instead
+    monkeypatch.setattr(bench, "_physical_memory", lambda: 1024)
     assert main(["impute", "--data", str(data), "--mask", str(mask),
                  "--out", str(out), *flags]) == 2
     assert f"error: {message}\n" in capsys.readouterr().err

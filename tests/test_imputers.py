@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from imputebench.core import DataMatrix, Mask, SeedSpec, apply_mask
 from imputebench.datagen import LfmSpec, sample_lfm
+from imputebench.featurize import SingularSystemError
 from imputebench import ensemble, imputers
 from imputebench.imputers import (
     METHOD_DEFAULTS,
     METHOD_TAGS,
-    _centered_ridge,
     _column_means,
     _mean_fill,
     _row_distances,
@@ -360,6 +360,44 @@ def _impute_soft_reference(ds, lam=None, max_iter=200, tol=1e-5):
     }
 
 
+def _impute_soft_where_refill(ds, lam=None, max_iter=200, tol=1e-5):
+    """impute_soft with its input rebuilt over every cell by np.where on each
+    iteration, through the module's own shrink and objective."""
+    z = _mean_fill(ds)
+    spectrum = np.linalg.svd(z, compute_uv=False)
+    if lam is None:
+        lam = 0.1 * float(spectrum[0])
+    observed = ds.mask.observed
+    x_obs = ds.observed[observed]
+    objective = [imputers._soft_objective(x_obs, z[observed], lam, spectrum)]
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        w = np.where(observed, ds.observed, z)
+        z_new, spectrum = imputers._soft_threshold(w, lam)
+        change = float(np.linalg.norm(z_new - z)) / max(float(np.linalg.norm(z)), 1e-12)
+        z = z_new
+        objective.append(imputers._soft_objective(x_obs, z[observed], lam, spectrum))
+        if change < tol:
+            converged = True
+            break
+    diffs = np.diff(objective)
+    return imputers._finish(ds, z, z, {
+        "method": "soft-impute",
+        "lambda": lam,
+        "iterations": iterations,
+        "converged": converged,
+        "objective": [float(v) for v in objective],
+        "objective_monotone": bool(np.all(diffs <= 1e-9 * max(objective[0], 1.0))),
+        "final_change": float(diffs[-1]) if diffs.size else 0.0,
+    })
+
+
+@pytest.mark.parametrize("shape", [(1000, 20), (150, 40), (40, 150)])
+def test_soft_refill_matches_where_reference_bitwise(shape):
+    for _, ds in _every_pattern(*shape, seed=3):
+        _same_result(impute_soft(ds), _impute_soft_where_refill(ds))
+
+
 @pytest.mark.parametrize("pattern", ["mcar", "block"])
 def test_soft_matches_reference(pattern):
     # The shrink goes through a Gram eigendecomposition, not the reference's
@@ -508,12 +546,10 @@ def test_soft_products_match_matmul_reference_bitwise(shape, monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(1000, 20), (150, 40), (50, 12), (9, 9)])
-def test_ice_products_match_matmul_reference_bitwise(shape, monkeypatch):
+def test_ice_products_match_matmul_reference_bitwise(shape):
     m, n = shape
     ds = _random_ds(m, n, 0.4, 80 + m, rank=2)
-    got = impute_ice(ds, max_iter=20, seed=SEED)
-    monkeypatch.setattr(imputers, "_centered_ridge", _centered_ridge_matmul)
-    _same_result(got, impute_ice(ds, max_iter=20, seed=SEED))
+    _assert_ice_matches_boolean_masks(ds, SEED, max_iter=20, ridge=_centered_ridge_matmul)
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +587,24 @@ def test_ice_converges_and_reports():
     assert res.fitted_observed is not None
 
 
-def _ice_boolean_masks(ds, max_iter, tol, ridge_lambda, seed):
-    """Reference ICE that rebuilds each column's boolean row masks and
-    predictor list on every sweep. Returns (filled, fitted, iterations,
-    converged)."""
+def _centered_ridge(a, y, lam):
+    """Closed-form ridge with an unpenalized intercept via centering; with no
+    predictors, the target mean."""
+    if a.shape[1] == 0:
+        mean = y.mean()
+        return lambda b: np.full(b.shape[0], mean)
+    mu = a.mean(axis=0)
+    ym = y.mean()
+    a_c = a - mu
+    gram = np.dot(a_c.T, a_c) + lam * np.eye(a.shape[1])
+    beta = np.linalg.solve(gram, np.dot(a_c.T, y - ym))
+    return lambda b: np.dot(b - mu, beta) + ym
+
+
+def _ice_boolean_masks(ds, max_iter, tol, ridge_lambda, seed, ridge=_centered_ridge):
+    """Reference ICE that rebuilds each column's boolean row masks, predictor
+    list and ridge fit (``ridge``) on every visit. Returns (filled, fitted,
+    iterations, converged)."""
     m, n = ds.shape
     obs = ds.mask.observed
     z = _mean_fill(ds)
@@ -567,8 +617,7 @@ def _ice_boolean_masks(ds, max_iter, tol, ridge_lambda, seed):
         max_change = 0.0
         for j in order:
             train = obs[:, j]
-            model = _centered_ridge(z[np.ix_(train, others[j])], ds.observed[train, j],
-                                    ridge_lambda)
+            model = ridge(z[np.ix_(train, others[j])], ds.observed[train, j], ridge_lambda)
             new_vals = model(z[np.ix_(~train, others[j])])
             max_change = max(max_change, float(np.abs(new_vals - z[~train, j]).max()))
             z[~train, j] = new_vals
@@ -583,16 +632,16 @@ def _ice_boolean_masks(ds, max_iter, tol, ridge_lambda, seed):
         if not train.any():
             fitted[:, j] = 0.0
             continue
-        model = _centered_ridge(z[np.ix_(train, others[j])], ds.observed[train, j],
-                                ridge_lambda)
+        model = ridge(z[np.ix_(train, others[j])], ds.observed[train, j], ridge_lambda)
         fitted[:, j] = model(z[:, others[j]])
     return z, fitted, iterations, converged
 
 
-def _assert_ice_matches_boolean_masks(ds, seed, **params):
+def _assert_ice_matches_boolean_masks(ds, seed, ridge=_centered_ridge, **params):
     params = {"max_iter": 200, "tol": 1e-5, "ridge_lambda": 1e-3, **params}
     res = impute_ice(ds, seed=seed, **params)
-    z, fitted, iterations, converged = _ice_boolean_masks(ds, seed=seed, **params)
+    z, fitted, iterations, converged = _ice_boolean_masks(ds, seed=seed, ridge=ridge,
+                                                          **params)
     completed = np.where(ds.mask.observed, ds.observed, z)
     assert res.completed.values.tobytes() == completed.tobytes()
     assert res.fitted_observed.values.tobytes() == fitted.tobytes()
@@ -614,6 +663,48 @@ def test_ice_matches_boolean_mask_reference():
         ds = _masked(rng.normal(size=(m, n)), ind)
         _assert_ice_matches_boolean_masks(ds, SeedSpec(case, "ice-ref"),
                                           ridge_lambda=float(rng.choice([1e-3, 1.0])))
+
+
+def _every_pattern(m, n, seed):
+    """One masked table per missingness pattern, all masking one m x n table."""
+    truth = sample_lfm(LfmSpec(m=m, n=n, k=3), SeedSpec(seed, "every-pattern"))
+    for tag in PATTERN_TAGS:
+        params = {"n_col_blocks": min(n, 10)} if tag == "block" else {}
+        mask = generate(PatternSpec(tag, SeedSpec(seed, tag), params), truth)
+        yield tag, apply_mask(truth, mask)
+
+
+@pytest.mark.parametrize("shape", [(50, 12), (30, 60), (300, 8)])
+def test_ice_matches_reference_on_every_pattern(shape):
+    for tag, ds in _every_pattern(*shape, seed=1):
+        for max_iter in (200, 1):
+            _assert_ice_matches_boolean_masks(ds, SeedSpec(2, tag), max_iter=max_iter)
+
+
+def test_ice_matches_reference_on_narrow_and_degenerate_tables():
+    rng = np.random.default_rng(19)
+    tables = [
+        (rng.normal(size=(9, 1)), rng.random((9, 1)) >= 0.4),
+        (rng.normal(size=(12, 2)), rng.random((12, 2)) >= 0.3),
+        # a fully observed and a fully missing column
+        (rng.normal(size=(8, 2)), np.array([[True, False]] * 8)),
+    ]
+    for values, observed in tables:
+        ds = _masked(values, observed.astype(np.uint8))
+        for max_iter in (200, 1):
+            _assert_ice_matches_boolean_masks(ds, SEED, max_iter=max_iter)
+
+
+def test_ice_singular_system_asks_for_a_larger_penalty():
+    # the second column has one observed cell, so its centred predictor block
+    # is all zeros, and so is the first column's mean-filled predictor
+    ds = _masked([[1.0, 2.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]],
+                 [[1, 1], [1, 0], [1, 0], [1, 0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        _ice_boolean_masks(ds, 200, 1e-5, 0.0, SEED)
+    with pytest.raises(SingularSystemError, match="retry with a larger ridge_lambda"):
+        impute_ice(ds, ridge_lambda=0.0, seed=SEED)
+    assert np.isfinite(impute_ice(ds, seed=SEED).completed.values).all()
 
 
 # ---------------------------------------------------------------------------
