@@ -154,6 +154,12 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+def _check_penalty(ridge_lambda: float) -> None:
+    """Refuse a ridge penalty that is not >= 0, NaN included."""
+    if not ridge_lambda >= 0:
+        raise ValueError(f"ridge penalty must be >= 0, got {ridge_lambda}")
+
+
 def featurized_ridge_peak_bytes(m: int, n: int, ridge_lambda: float) -> int:
     """Bytes that ``_ridge_fit_predict`` holds at once on an m x n matrix,
     from the shape alone: the p x p shared Gram block with its solver copies
@@ -162,7 +168,9 @@ def featurized_ridge_peak_bytes(m: int, n: int, ridge_lambda: float) -> int:
     min(n, 2m) above it. Under tracemalloc the fit, plain or averaged over
     four assignments, peaks at 0.34-0.83 of it from 20 x 6 to 3000 x 20,
     600 x 600 and 1000 x 400; on smaller tables a few KiB of fixed overhead
-    can exceed it."""
+    can exceed it. A NaN or negative penalty is refused here, since the
+    bound would read it as zero."""
+    _check_penalty(ridge_lambda)
     p = min(m, 2 * n) + min(n, 2 * m) if ridge_lambda > 0 else 2 * m + 2 * n
     return 32 * p * p + 128 * m * n
 
@@ -200,8 +208,7 @@ def _ridge_fit_predict(
     width and the fit is computed as it always was: that system is singular
     in exact arithmetic, and whether solve reports it depends on rounding.
     """
-    if not ridge_lambda >= 0:
-        raise ValueError(f"ridge penalty must be >= 0, got {ridge_lambda}")
+    _check_penalty(ridge_lambda)
     if not ft.indicator.any():
         raise ValueError("no training rows: the dataset has no observed entry")
     x, train = ft.observed, ft.indicator

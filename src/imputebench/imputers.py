@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .core import DataMatrix, MaskedDataset, SeedSpec, resolve_params, signature_defaults
-from .featurize import _ridge_fit_predict, _solve, build_features
+from .featurize import _check_penalty, _ridge_fit_predict, _solve, build_features
 
 __all__ = [
     "EQUIVARIANT_METHODS",
@@ -203,15 +203,12 @@ def impute_soft(
     observed = ds.mask.observed
     x_obs = ds.observed[observed]
     # z.ravel()[obs_idx] is z[observed] without a boolean gather per iteration
-    obs_idx, miss_idx = np.flatnonzero(observed), np.flatnonzero(~observed)
+    obs_idx = np.flatnonzero(observed)
     objective = [_soft_objective(x_obs, z.ravel()[obs_idx], lam, spectrum)]
-    # w is z with the observed values restored; they never change, so each
-    # step refills only the missing cells
-    w = np.array(z)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        w.ravel()[miss_idx] = z.ravel()[miss_idx]
+        w = np.where(observed, ds.observed, z)
         z_new, spectrum = _soft_threshold(w, lam)
         denom = max(float(np.linalg.norm(z)), 1e-12)
         change = float(np.linalg.norm(z_new - z)) / denom
@@ -253,28 +250,28 @@ def impute_ice(
     visit fits a ridge with a centred, unpenalized intercept to the column's
     observed rows and rewrites its missing cells.
     """
-    if not ridge_lambda >= 0:
-        raise ValueError(f"ridge penalty must be >= 0, got {ridge_lambda}")
+    _check_penalty(ridge_lambda)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     m, n = ds.shape
     obs = ds.mask.observed
     z = _mean_fill(ds)
     penalty = ridge_lambda * np.eye(n - 1)
-    # Per column, fixed for the call: the flat indices into z (row * n +
-    # column) of the observed (train) and missing (test) rows' predictor
-    # cells and of the test cells, and the observed target, centred.
-    cells = np.arange(m * n).reshape(m, n)
+    # Per column, fixed for the call: the predictor columns, the observed
+    # (train) and missing (test) rows, the flat indices into z of the test
+    # cells, and the observed target, centred.
     columns = []
-    for j, train in enumerate(obs.T):
-        others, y, test = np.delete(cells, j, axis=1), ds.observed[train, j], ~train
+    for j, observed in enumerate(obs.T):
+        train, test = np.flatnonzero(observed), np.flatnonzero(~observed)
+        y = ds.observed[train, j]
         y_mean = y.mean() if y.size else 0.0
-        columns.append((others[train], others[test], cells[test, j], y - y_mean, y_mean))
+        columns.append((np.delete(np.arange(n), j), train, test, test * n + j,
+                        y - y_mean, y_mean))
 
     def predict(j: int, x: np.ndarray) -> np.ndarray:
         """Ridge fit of column j on the current z, predicted at the rows x."""
-        train_cells, _, _, y_c, y_mean = columns[j]
-        a = z.take(train_cells)
+        predictors, train, _, _, y_c, y_mean = columns[j]
+        a = z.take(train, axis=0).take(predictors, axis=1)
         mu = a.mean(axis=0)
         a_c = a - mu
         beta = _solve(np.dot(a_c.T, a_c) + penalty, np.dot(a_c.T, y_c))
@@ -288,8 +285,8 @@ def impute_ice(
     for iterations in range(1, max_iter + 1):
         max_change = 0.0
         for j in order:
-            _, test_cells, missing, _, _ = columns[j]
-            new_vals = predict(j, z.take(test_cells))
+            predictors, _, test, missing, _, _ = columns[j]
+            new_vals = predict(j, z.take(test, axis=0).take(predictors, axis=1))
             max_change = max(max_change, float(np.abs(new_vals - z.take(missing)).max()))
             z.put(missing, new_vals)
         if max_change < tol:
@@ -300,9 +297,10 @@ def impute_ice(
 
     fitted = np.array(z)
     for j in range(n):
-        # z[:, predictors] is F-ordered; a C-ordered take of every row's
-        # predictor cells would move the predictions' last bits
-        fitted[:, j] = predict(j, z[:, np.delete(np.arange(n), j)]) if count[j] else 0.0
+        # the row blocks above are C-ordered and z[:, predictors] is
+        # F-ordered; a C-ordered block of every row would move the fitted
+        # values' last bits
+        fitted[:, j] = predict(j, z[:, columns[j][0]]) if count[j] else 0.0
     diagnostics = {
         "method": "ice",
         "iterations": iterations,
@@ -395,11 +393,6 @@ class Imputer:
 
     def __post_init__(self):
         params = resolve_params("method", self.method, self.params, METHOD_DEFAULTS)
-        # refused here, before bench.refuse_oversize sizes featurized ridge
-        # from it, where a NaN or negative penalty reads as zero
-        penalty = params.get("ridge_lambda", 0.0)
-        if not penalty >= 0:
-            raise ValueError(f"ridge penalty must be >= 0, got {penalty}")
         object.__setattr__(self, "params", params)
         if not self.name:
             object.__setattr__(self, "name", self.method)

@@ -463,7 +463,7 @@ def test_impute_refuses_a_negative_or_nan_penalty(tmp_path, capsys, monkeypatch,
     data = _gen_dataset(tmp_path)
     mask, out = tmp_path / "m.csv", tmp_path / "o.csv"
     assert main(["mask", "--data", str(data), "--pattern", "mcar", "--out", str(mask)]) == 0
-    # the penalty is refused before the memory rule sizes featurized ridge
+    # the memory rule refuses the penalty before it sizes featurized ridge
     # from it, which would read NaN or -1 as zero and refuse the input instead
     monkeypatch.setattr(bench, "_physical_memory", lambda: 1024)
     assert main(["impute", "--data", str(data), "--mask", str(mask),

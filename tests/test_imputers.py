@@ -360,44 +360,6 @@ def _impute_soft_reference(ds, lam=None, max_iter=200, tol=1e-5):
     }
 
 
-def _impute_soft_where_refill(ds, lam=None, max_iter=200, tol=1e-5):
-    """impute_soft with its input rebuilt over every cell by np.where on each
-    iteration, through the module's own shrink and objective."""
-    z = _mean_fill(ds)
-    spectrum = np.linalg.svd(z, compute_uv=False)
-    if lam is None:
-        lam = 0.1 * float(spectrum[0])
-    observed = ds.mask.observed
-    x_obs = ds.observed[observed]
-    objective = [imputers._soft_objective(x_obs, z[observed], lam, spectrum)]
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        w = np.where(observed, ds.observed, z)
-        z_new, spectrum = imputers._soft_threshold(w, lam)
-        change = float(np.linalg.norm(z_new - z)) / max(float(np.linalg.norm(z)), 1e-12)
-        z = z_new
-        objective.append(imputers._soft_objective(x_obs, z[observed], lam, spectrum))
-        if change < tol:
-            converged = True
-            break
-    diffs = np.diff(objective)
-    return imputers._finish(ds, z, z, {
-        "method": "soft-impute",
-        "lambda": lam,
-        "iterations": iterations,
-        "converged": converged,
-        "objective": [float(v) for v in objective],
-        "objective_monotone": bool(np.all(diffs <= 1e-9 * max(objective[0], 1.0))),
-        "final_change": float(diffs[-1]) if diffs.size else 0.0,
-    })
-
-
-@pytest.mark.parametrize("shape", [(1000, 20), (150, 40), (40, 150)])
-def test_soft_refill_matches_where_reference_bitwise(shape):
-    for _, ds in _every_pattern(*shape, seed=3):
-        _same_result(impute_soft(ds), _impute_soft_where_refill(ds))
-
-
 @pytest.mark.parametrize("pattern", ["mcar", "block"])
 def test_soft_matches_reference(pattern):
     # The shrink goes through a Gram eigendecomposition, not the reference's
