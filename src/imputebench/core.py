@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -258,18 +258,10 @@ def sample_bernoulli_mask(p: PropensityMatrix, seed: SeedSpec) -> Mask:
 
 def signature_defaults(fn: Callable) -> dict:
     """A registry function's parameters after the first (the data) that may
-    be passed by position, with their defaults; a dataclass default (seq's
-    BanditConfig) contributes its fields. Keyword-only parameters (a seed,
-    censoring's directions) are left out."""
-    defaults = {}
-    for param in list(inspect.signature(fn).parameters.values())[1:]:
-        if param.kind is not param.POSITIONAL_OR_KEYWORD:
-            continue
-        if is_dataclass(param.default):
-            defaults.update(asdict(param.default))
-        else:
-            defaults[param.name] = param.default
-    return defaults
+    be passed by position, with their defaults, in signature order.
+    Keyword-only parameters (a seed, censoring's directions) are left out."""
+    params = list(inspect.signature(fn).parameters.values())[1:]
+    return {p.name: p.default for p in params if p.kind is p.POSITIONAL_OR_KEYWORD}
 
 
 def resolve_params(

@@ -183,7 +183,6 @@ def blend(
         res_a.fitted_observed.values[obs],
         res_b.fitted_observed.values[obs],
         ds.observed[obs],
-        spec.degenerate_tol,
     )
     completed = w * res_a.completed.values + (1.0 - w) * res_b.completed.values
     fitted = w * res_a.fitted_observed.values + (1.0 - w) * res_b.fitted_observed.values

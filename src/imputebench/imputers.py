@@ -195,7 +195,8 @@ def impute_soft(
     replaced by the plain step from z, which costs a second shrink within
     the same pass, so the objective never increases. The first two passes
     are plain steps. The loop stops when ||z_new - z|| / ||z|| < tol or
-    after max_iter passes.
+    after max_iter passes; ``final_change`` reports that ratio at the last
+    pass, so a run stopped by max_iter shows how far it was from tol.
 
     When lam is omitted it defaults to 0.1 times the top singular value of
     the mean-filled matrix. The shrink goes through the eigendecomposition
@@ -244,15 +245,14 @@ def impute_soft(
         if change < tol:
             converged = True
             break
-    diffs = np.diff(objective)
     diagnostics = {
         "method": "soft-impute",
         "lambda": lam,
         "iterations": iterations,
         "converged": converged,
         "objective": [float(v) for v in objective],
-        "objective_monotone": bool(np.all(diffs <= 1e-9 * max(objective[0], 1.0))),
-        "final_change": float(diffs[-1]) if diffs.size else 0.0,
+        "objective_monotone": bool(np.all(np.diff(objective) <= 1e-9 * max(objective[0], 1.0))),
+        "final_change": change,
     }
     return _finish(ds, z, z, diagnostics)
 
@@ -379,13 +379,10 @@ class EnsembleSpec:
     base_a: str = "featurized-ridge"
     base_b: str = "soft-impute"
     n_perms: int = 4
-    degenerate_tol: float = 1e-12
 
     def __post_init__(self):
         if self.n_perms < 1:
             raise ValueError(f"n_perms must be >= 1, got {self.n_perms}")
-        if not self.degenerate_tol > 0:
-            raise ValueError("degenerate_tol must be positive")
 
 
 # Tag order is METHOD_TAGS order; the ensemble, which builds on the others, is last.

@@ -137,14 +137,15 @@ def _zscore(x: np.ndarray) -> np.ndarray:
     return centered / std if std > 0 else np.zeros_like(centered)
 
 
-def _quantile(sorted_values: np.ndarray, q: float) -> float:
-    """Linear-interpolation quantile of an already sorted vector."""
-    n = sorted_values.size
-    pos = q * (n - 1)
+def _quantile(sorted_values: np.ndarray, q: float) -> np.ndarray:
+    """Linear-interpolation quantile of each column of a matrix whose columns
+    are already sorted."""
+    m = sorted_values.shape[0]
+    pos = q * (m - 1)
     lo = int(math.floor(pos))
-    hi = min(lo + 1, n - 1)
+    hi = min(lo + 1, m - 1)
     frac = pos - lo
-    return float(sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac)
+    return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +442,10 @@ def gen_censoring(
         dirs = np.asarray(directions)
         if dirs.size != truth.cols or not np.isin(dirs, ("left", "right")).all():
             raise ValueError("directions must give 'left' or 'right' per column")
-    indicator = np.ones(truth.shape, dtype=np.uint8)
-    for j in range(truth.cols):
-        col = np.sort(values[:, j])
-        if dirs[j] == "left":
-            threshold = _quantile(col, q_censor)
-            hidden = values[:, j] < threshold
-        else:
-            threshold = _quantile(col, 1.0 - q_censor)
-            hidden = values[:, j] > threshold
-        indicator[hidden, j] = 0
-    return Mask(indicator)
+    ordered = np.sort(values, axis=0)
+    hidden = np.where(dirs == "left", values < _quantile(ordered, q_censor),
+                      values > _quantile(ordered, 1.0 - q_censor))
+    return Mask(~hidden)
 
 
 # ---------------------------------------------------------------------------
@@ -486,30 +480,22 @@ def gen_polarization_hard(
     if not 0.0 < q_thresh < 0.5:
         raise ValueError(f"q_thresh must be in (0, 0.5), got {q_thresh}")
     values = truth.values
-    indicator = np.ones(truth.shape, dtype=np.uint8)
-    for j in range(truth.cols):
-        col = np.sort(values[:, j])
-        low = _quantile(col, q_thresh)
-        high = _quantile(col, 1.0 - q_thresh)
-        hidden = (values[:, j] > low) & (values[:, j] < high)
-        indicator[hidden, j] = 0
-    return Mask(indicator)
+    ordered = np.sort(values, axis=0)
+    low, high = _quantile(ordered, q_thresh), _quantile(ordered, 1.0 - q_thresh)
+    return Mask(~((values > low) & (values < high)))
 
 
 def _soft_polarization_propensity(
     values: np.ndarray, alpha: float, eps: float
 ) -> np.ndarray:
-    """Missing propensity grows with normalized distance from the column median."""
-    p_miss = np.empty_like(values)
-    for j in range(values.shape[1]):
-        col = values[:, j]
-        dist = np.abs(col - np.median(col)) ** alpha
-        top = dist.max()
-        ratio = dist / top if top > 0 else np.zeros_like(dist)
-        # convex-combination form keeps the endpoints float-exact:
-        # ratio 0 -> eps, ratio 1 -> 1 - eps
-        p_miss[:, j] = eps * (1.0 - ratio) + (1.0 - eps) * ratio
-    return p_miss
+    """Missing propensity grows with normalized distance from the column
+    median; a zero-spread column has ratio 0."""
+    dist = np.abs(values - np.median(values, axis=0)) ** alpha
+    top = dist.max(axis=0)
+    ratio = np.divide(dist, top, out=np.zeros_like(dist), where=top > 0)
+    # convex-combination form keeps the endpoints float-exact:
+    # ratio 0 -> eps, ratio 1 -> 1 - eps
+    return eps * (1.0 - ratio) + (1.0 - eps) * ratio
 
 
 def gen_polarization_soft(
@@ -654,12 +640,13 @@ def _block_design(values: np.ndarray, p_missing: float, n_row_blocks: int,
                   n_col_blocks: int, rng: np.random.Generator):
     """Returns (row block ids, col block ids, per-block missing propensity)."""
     m, n = values.shape
-    row_ids = np.repeat(np.arange(n_row_blocks), [len(c) for c in np.array_split(range(m), n_row_blocks)])
-    col_ids = np.repeat(np.arange(n_col_blocks), [len(c) for c in np.array_split(range(n), n_col_blocks)])
-    scores = np.zeros((n_row_blocks, n_col_blocks))
-    for br in range(n_row_blocks):
-        for bc in range(n_col_blocks):
-            scores[br, bc] = values[np.ix_(row_ids == br, col_ids == bc)].mean()
+    rows = [slice(b[0], b[-1] + 1) for b in np.array_split(np.arange(m), n_row_blocks)]
+    cols = [slice(b[0], b[-1] + 1) for b in np.array_split(np.arange(n), n_col_blocks)]
+    row_ids = np.repeat(np.arange(n_row_blocks), [r.stop - r.start for r in rows])
+    col_ids = np.repeat(np.arange(n_col_blocks), [c.stop - c.start for c in cols])
+    # the mean of a C-ordered copy of the block: one pairwise sum over its
+    # cells, which a strided view would not give
+    scores = np.array([[np.ascontiguousarray(values[r, c]).mean() for c in cols] for r in rows])
     scores = _zscore(scores.ravel()).reshape(scores.shape)
     cell_logits = scores[row_ids[:, None], col_ids[None, :]]
     b = calibrate_intercept(cell_logits, p_missing)
@@ -738,7 +725,11 @@ GRADIENT_BANDIT_STEP = 0.1
 
 def gen_seq(
     truth: DataMatrix,
-    cfg: BanditConfig = BanditConfig(),
+    algorithm: str = "epsilon_greedy",
+    epsilon: float = 0.4,
+    epsilon_decay: float = 0.99,
+    pooling: bool = False,
+    reward_noise_scale: float = 1.0,
     p_missing: float = 0.4,
     *,
     seed: SeedSpec,
@@ -750,14 +741,16 @@ def gen_seq(
     Gaussian noise. The first two columns force one play of each arm
     (agent i starts with arm 1 when i is even); afterwards the configured
     algorithm chooses from per-agent statistics, or pooled statistics when
-    ``cfg.pooling`` is set. Epsilon-greedy exploration picks the skip arm
+    ``pooling`` is set. Epsilon-greedy exploration picks the skip arm
     with probability ``p_missing``. Argmax ties always go to arm 1.
 
     Randomness is consumed on a fixed schedule (noise matrix up front, then
     per column: one uniform vector per decision plus one per exploration or
     preference sample), so a straight-line reimplementation with the same
-    seed reproduces the arm sequence exactly.
+    seed reproduces the arm sequence exactly. The bandit parameters are
+    checked as a ``BanditConfig`` before anything else.
     """
+    cfg = BanditConfig(algorithm, epsilon, epsilon_decay, pooling, reward_noise_scale)
     if truth.cols < 2:
         raise ValueError("sequential masking needs at least 2 columns")
     if not 0.0 <= p_missing <= 1.0:
@@ -891,14 +884,6 @@ PATTERN_DEFAULTS: dict[str, dict] = {
 PATTERN_TAGS = tuple(PATTERN_DEFAULTS)
 
 
-def _dispatch(pattern: str, truth: DataMatrix, params: dict, seed: SeedSpec) -> Mask:
-    gen = _GENERATORS[pattern]
-    if pattern == "seq":
-        bandit = {k: v for k, v in params.items() if k != "p_missing"}
-        return gen(truth, BanditConfig(**bandit), params["p_missing"], seed=seed)
-    return gen(truth, **params, seed=seed)
-
-
 def generate(spec: PatternSpec, truth: DataMatrix) -> Mask:
     """Run the named generator, resampling degenerate fully-missing masks.
 
@@ -908,7 +893,7 @@ def generate(spec: PatternSpec, truth: DataMatrix) -> Mask:
     params = spec.resolved_params()
     for attempt in range(MAX_RESAMPLE_ATTEMPTS):
         seed = spec.seed if attempt == 0 else spec.seed.child(f"retry{attempt}")
-        mask = _dispatch(spec.pattern, truth, params, seed)
+        mask = _GENERATORS[spec.pattern](truth, **params, seed=seed)
         if mask.n_observed > 0:
             return mask
     raise DegenerateMaskError(

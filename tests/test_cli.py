@@ -269,8 +269,7 @@ def test_impute_flags_are_method_parameters():
     fixed = {"help", "data", "mask", "method", "out", "diagnostics", "seed"}
     flags = {a.dest for a in _subcommand("impute")._actions} - fixed
     keys = {key for params in METHOD_DEFAULTS.values() for key in params}
-    assert flags <= keys
-    assert keys - flags == {"degenerate_tol"}  # the one parameter without a flag
+    assert keys == flags
 
 
 def test_impute_ensemble_method(tmp_path):

@@ -370,7 +370,7 @@ def _impute_soft_reference(ds, lam=None, max_iter=200, tol=1e-5):
         "converged": converged,
         "objective": [float(v) for v in objective],
         "objective_monotone": bool(np.all(diffs <= 1e-9 * max(objective[0], 1.0))),
-        "final_change": float(diffs[-1]) if diffs.size else 0.0,
+        "final_change": change,
     }
 
 
@@ -395,6 +395,20 @@ def test_soft_matches_reference(pattern):
             assert abs(a - b) <= 1e-12 * abs(b)
         assert abs(diag["final_change"] - want["final_change"]) <= (
             1e-5 * abs(want["final_change"]))
+
+
+def test_soft_final_change_is_the_last_relative_change():
+    # the stop rule's ratio at the last pass: the fitted matrix's move from
+    # the run one pass shorter, relative to that run's fitted matrix
+    ds = _random_ds(30, 8, 0.4, 61, rank=2)
+    for passes in (1, 2, 5):
+        z = impute_soft(ds, max_iter=passes).fitted_observed.values
+        after = impute_soft(ds, max_iter=passes + 1)
+        assert not after.diagnostics["converged"]
+        move = float(np.linalg.norm(after.fitted_observed.values - z))
+        assert after.diagnostics["final_change"] == move / float(np.linalg.norm(z)) >= 1e-5
+    done = impute_soft(ds).diagnostics
+    assert done["converged"] and 0.0 < done["final_change"] < 1e-5
 
 
 def _impute_soft_plain(ds, lam, max_iter, tol):
@@ -958,7 +972,6 @@ _PINNED_METHOD_DEFAULTS = {
         "base_a": "featurized-ridge",
         "base_b": "soft-impute",
         "n_perms": 4,
-        "degenerate_tol": 1e-12,
     },
 }
 

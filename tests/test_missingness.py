@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -724,6 +725,84 @@ def test_soft_polarization_constant_column_stays_at_eps():
     assert np.all(p == 0.05)
 
 
+def _soft_polarization_by_column(values, alpha, eps):
+    """``_soft_polarization_propensity`` one column at a time."""
+    p_miss = np.empty_like(values)
+    for j in range(values.shape[1]):
+        col = values[:, j]
+        dist = np.abs(col - np.median(col)) ** alpha
+        top = dist.max()
+        ratio = dist / top if top > 0 else np.zeros_like(dist)
+        p_miss[:, j] = eps * (1.0 - ratio) + (1.0 - eps) * ratio
+    return p_miss
+
+
+def _block_design_by_block(values, p_missing, n_row_blocks, n_col_blocks):
+    """``_block_design`` with each block's mean taken over a boolean selection
+    of its rows and columns, one block at a time."""
+    m, n = values.shape
+    row_ids = np.repeat(np.arange(n_row_blocks),
+                        [len(c) for c in np.array_split(range(m), n_row_blocks)])
+    col_ids = np.repeat(np.arange(n_col_blocks),
+                        [len(c) for c in np.array_split(range(n), n_col_blocks)])
+    scores = np.zeros((n_row_blocks, n_col_blocks))
+    for br in range(n_row_blocks):
+        for bc in range(n_col_blocks):
+            scores[br, bc] = values[np.ix_(row_ids == br, col_ids == bc)].mean()
+    scores = mg._zscore(scores.ravel()).reshape(scores.shape)
+    b = mg.calibrate_intercept(scores[row_ids[:, None], col_ids[None, :]], p_missing)
+    return row_ids, col_ids, mg._sigmoid(scores + b)
+
+
+def _quantile_masks_by_column(values, q, directions):
+    """The censoring mask (one tail per column, by ``directions``) and the
+    polarization-hard mask, one column at a time from scalar quantiles."""
+    censored = np.ones(values.shape, dtype=np.uint8)
+    middle = np.ones(values.shape, dtype=np.uint8)
+    for j, col in enumerate(values.T):
+        low, high = _sorted_quantile(col, q), _sorted_quantile(col, 1.0 - q)
+        censored[col < low if directions[j] == "left" else col > high, j] = 0
+        middle[(col > low) & (col < high), j] = 0
+    return censored, middle
+
+
+def _reference_table(kind, m, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        values = rng.integers(0, 4, size=(m, n)).astype(float)
+    elif kind == "heavy":
+        values = rng.standard_cauchy(size=(m, n)) * 1e3
+    else:
+        values = rng.normal(size=(m, n))
+    values[:, 0] = 1.5  # a zero-spread column
+    return values
+
+
+@pytest.mark.parametrize("kind", ["normal", "ties", "heavy"])
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 7), (9, 1), (2, 3), (12, 5), (41, 12), (600, 40)])
+def test_column_wise_masks_match_the_per_column_loops(kind, m, n):
+    values = _reference_table(kind, m, n, 31 * m + n)
+    X = DataMatrix(values)
+    for alpha, eps in ((2.5, 0.05), (0.5, 0.3)):
+        got = mg._soft_polarization_propensity(values, alpha, eps)
+        assert got.tobytes() == _soft_polarization_by_column(values, alpha, eps).tobytes()
+    directions = np.where(np.arange(n) % 3 == 1, "right", "left")
+    for q in (0.1, 0.25, 0.4999999999):
+        thresholds = [_sorted_quantile(col, q) for col in values.T]
+        assert mg._quantile(np.sort(values, axis=0), q).tolist() == thresholds
+        censored, middle = _quantile_masks_by_column(values, q, directions)
+        cens = mg.gen_censoring(X, q, seed=SeedSpec(0, "c"), directions=directions)
+        assert np.array_equal(cens.indicator, censored)
+        assert np.array_equal(mg.gen_polarization_hard(X, q, seed=SeedSpec(0, "p")).indicator,
+                              middle)
+    # at 600 x 40 the 1 x 3 grid's blocks are big enough that the mean of a
+    # strided view would round differently
+    for grid in {(1, 1), (1, min(3, n)), (min(3, m), min(2, n)), (m, n)}:
+        got = mg._block_design(values, 0.4, *grid, np.random.default_rng(0))
+        want = _block_design_by_block(values, 0.4, *grid)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], grid
+
+
 def test_polarization_defaults():
     assert mg.PATTERN_DEFAULTS["polarization-hard"]["q_thresh"] == 0.25
     assert mg.PATTERN_DEFAULTS["polarization-soft"]["alpha"] == 2.5
@@ -877,9 +956,8 @@ def test_seq_defaults_match_table():
 
 def test_seq_epsilon_zero_is_bit_deterministic():
     X = _random_matrix(9, 7, 14)
-    cfg = mg.BanditConfig(epsilon=0.0)
-    a = mg.gen_seq(X, cfg, seed=SeedSpec(5, "seq"))
-    b = mg.gen_seq(X, cfg, seed=SeedSpec(5, "seq"))
+    a = mg.gen_seq(X, epsilon=0.0, seed=SeedSpec(5, "seq"))
+    b = mg.gen_seq(X, epsilon=0.0, seed=SeedSpec(5, "seq"))
     assert a.indicator.tobytes() == b.indicator.tobytes()
 
 
@@ -889,7 +967,7 @@ def test_seq_epsilon_greedy_matches_reference_loop():
     cfg = mg.BanditConfig(epsilon=0.4, epsilon_decay=0.99, reward_noise_scale=1.0)
     p_missing = 0.4
     seed = SeedSpec(77, "seq-ref")
-    mask = mg.gen_seq(X, cfg, p_missing, seed=seed)
+    mask = mg.gen_seq(X, **asdict(cfg), p_missing=p_missing, seed=seed)
 
     # straight-line reference of the same update rule and draw schedule
     rng = seed.rng()
@@ -972,33 +1050,35 @@ def test_seq_gradient_bandit_matches_two_softmax_loop(pooling):
         cfg = mg.BanditConfig(algorithm="gradient_bandit", pooling=pooling,
                               reward_noise_scale=0.5 + s)
         seed = SeedSpec(s, "seq-gb")
-        mask = mg.gen_seq(X, cfg, seed=seed)
+        mask = mg.gen_seq(X, **asdict(cfg), seed=seed)
         assert np.array_equal(mask.indicator, _gradient_bandit_two_softmax(X, cfg, seed))
 
 
 @pytest.mark.parametrize("algorithm", mg.BANDIT_ALGORITHMS)
 def test_seq_all_algorithms_produce_valid_masks(algorithm):
     X = _random_matrix(12, 9, 16)
-    cfg = mg.BanditConfig(algorithm=algorithm)
-    mask = mg.gen_seq(X, cfg, seed=SeedSpec(1, f"seq-{algorithm}"))
+    mask = mg.gen_seq(X, algorithm=algorithm, seed=SeedSpec(1, f"seq-{algorithm}"))
     assert mask.shape == (12, 9)
     # forced initialization plays each arm once in the first two columns
     assert np.array_equal(mask.indicator[:, 0] + mask.indicator[:, 1],
                           np.ones(12, dtype=np.uint8))
-    again = mg.gen_seq(X, cfg, seed=SeedSpec(1, f"seq-{algorithm}"))
+    again = mg.gen_seq(X, algorithm=algorithm, seed=SeedSpec(1, f"seq-{algorithm}"))
     assert mask.indicator.tobytes() == again.indicator.tobytes()
 
 
 def test_seq_pooling_changes_behavior_but_not_determinism():
     X = _random_matrix(20, 10, 17)
-    pooled = mg.gen_seq(X, mg.BanditConfig(pooling=True), seed=SeedSpec(2, "sp"))
-    pooled2 = mg.gen_seq(X, mg.BanditConfig(pooling=True), seed=SeedSpec(2, "sp"))
+    pooled = mg.gen_seq(X, pooling=True, seed=SeedSpec(2, "sp"))
+    pooled2 = mg.gen_seq(X, pooling=True, seed=SeedSpec(2, "sp"))
     assert pooled.indicator.tobytes() == pooled2.indicator.tobytes()
 
 
 def test_seq_rejects_unknown_algorithm():
     with pytest.raises(ValueError):
         mg.BanditConfig(algorithm="softmax")
+    # the bandit is checked before the table, as when generate built it
+    with pytest.raises(ValueError, match="unknown bandit algorithm"):
+        mg.gen_seq(_random_matrix(4, 1, 0), algorithm="softmax", seed=SeedSpec(0, "s"))
 
 
 # ---------------------------------------------------------------------------
@@ -1093,6 +1173,105 @@ def test_pattern_defaults_are_pinned():
         assert list(got) == list(pinned), tag
         assert got == pinned, tag
         assert [type(v) for v in got.values()] == [type(v) for v in pinned.values()], tag
+
+
+def _tied_table(m, n, seed):
+    """Small integers, so every column has ties; the middle column is constant."""
+    values = np.random.default_rng(seed).integers(0, 6, size=(m, n)).astype(float)
+    values[:, n // 2] = 2.0
+    return DataMatrix(values)
+
+
+# sha256 of each pattern's indicator bytes from ``generate`` at the pattern's
+# defaults, keyed by (table, m, n, seed): "lfm" is ``sample_lfm`` at rank 3,
+# "tied" is ``_tied_table``. Recorded on stream 2 before censoring and both
+# polarization patterns took their thresholds from one sort of the matrix.
+PINNED_MASK_DIGESTS = {
+    ("lfm", 40, 12, 1): {
+        "mcar": "cd221c3eef9ea24993968f39a21e2abcad40d8632e814a1df2eec4a763e259c9",
+        "col-mar": "361a1592546d5c761fb0a4ebf972896f271d3bb55166adb1d61eb74d2ff66ed2",
+        "nn-mnar": "2edc952ac9f789f1ae44139d43cab236670f27dedee56321f6e7767cf30a6b1e",
+        "self-masking": "268964078f9c7679f74ad6295c9203f4b56d80882b9e5c0ffea1220aca886f95",
+        "censoring": "154ecbd445147801e1cfe08d56b9f3ded9db58c69e1eb314991c8c7872c0eda9",
+        "panel": "318927be7b2310c4f648f1a9c6ad630a49e6e29e9caf12c9c4b4d868e4656161",
+        "polarization-hard": "73088898e07801f5cf655b88d3058f2cdd4e2f59c717b26ac0caebdf517b2dc9",
+        "polarization-soft": "04b036924220d76557a85be9b8c3176d3a789cf601fe11985628a74153165caf",
+        "latent-factor": "55667207604def8b1846c8aecaf3c7139792d768e071ace220fca6dddd3f3654",
+        "cluster": "1b23c8dacd57a6f4f1e10b8d1b3c70643742295671214bf2107421090d7775c9",
+        "two-phase": "0a88c71c6110f1a26861921a1c8e4803e687f00676c92565e46bbb24005ddc13",
+        "block": "a7f6b69110970c9b93ed5a52cb40eccd74451fc9035e431e936582da87f477c4",
+        "seq": "34c186908ced2fc320b9a47b45b53614340755950b2878a652b94bbd63985bee",
+    },
+    ("lfm", 40, 12, 2): {
+        "mcar": "3b8bedf7052b399514dd773d6d59c1c767acce2fb4cd933f2cdb36f9d53a7732",
+        "col-mar": "fda3be28c3ab877591696816858e1f1103e5830c1b93385524b233961bf0bb0c",
+        "nn-mnar": "71dc5190c6303c4aace9a098f6d790fa7d80d5215716c519dadb2a0f98d6457b",
+        "self-masking": "75d9322a7083f8fd57018a0074c8fbb02275c398452990eec600ec2e61b034e4",
+        "censoring": "4617fecf61ffa0ccfceb93b342c1a3e2633bc3a6dafa474cc80e674c91de7799",
+        "panel": "3c26e5aea129e842e3b940731d6a61d46d54f4edc86f154b591708fa752b2aaa",
+        "polarization-hard": "1743862298a4ac66e009fe93ab62e84bbe076f3d83129ad8e6dfe650873d9654",
+        "polarization-soft": "4a0dffa7affa371f1f9d4a5507aa9f742321d1844172206d3004fe05418e4301",
+        "latent-factor": "ab56c0e9e27b8cacb6cebf66cbb78ead19bceca7b52334e592fb28d3bd21d45d",
+        "cluster": "d201551403f9e3e60d893d3eeadf9739da561a0c8ebe9696baa668ab18c0df76",
+        "two-phase": "3779d9167fda02abb615c4ecfb0df501576d2952e1e05a345e2bb8574238af33",
+        "block": "350f1410096039b66c5a34b28e1fbe833aa26649174068251e1b4feb8b772834",
+        "seq": "2865ae61d39d7efdca8c337410c16c072885caa718eacf564bf13d51c2ed172f",
+    },
+    ("lfm", 1000, 20, 1): {
+        "mcar": "468387c15e64a208dec89c10012f82b097deb41ec5b15b893213a60b9d9bdaf1",
+        "col-mar": "e295ff7298011f21ddf20c6082ad802af139c64b1d8ea340b0e9792b9b301127",
+        "nn-mnar": "fbc54a9380bc120cdaf25a2eb255c73ffb74eacd489465661db8d4648efc3bd7",
+        "self-masking": "03904bc20b7649ba80c6c84b51f9c830d187656bad366f63b544ebdd62476d84",
+        "censoring": "6ed7fd78e9c717bad1f7445297cacf6cb67afcc3e2a9b946fd3999d49994bb87",
+        "panel": "03dfeddede02629776a5f4a3b3cfc097d99bd4096bb9f39330d2d829b20591e8",
+        "polarization-hard": "771cccf050d7de30fa53e119403454518ffcd6ddfa96ba1c14ed1729631338ee",
+        "polarization-soft": "3e95dca77a3bb5294839a784cfd1518cb99ef5eff6317db64679233763a12e6e",
+        "latent-factor": "bda5a96b7d4e8e03fb0457c18116ec4c646c12fb4e9b8498d5f18e488315bec2",
+        "cluster": "a874ed52e0147d80a90707341e3f23c3a5de81fe61883b96c3ce6bb83a29facd",
+        "two-phase": "09d3557dbf5258a1ff3a515d62810482409ee30d908557d0a902f067e1253fbe",
+        "block": "93b287cd605fa5905da6c554ab280011b4087b9c199886f0a2c5972bbd7f82f3",
+        "seq": "8b2db2901ef02b5ec1e35aa1c8eea8af48f60507ab0d4710d434efff899a01b5",
+    },
+    ("lfm", 1000, 20, 2): {
+        "mcar": "07329dd043a37ea0c42c5685487d3729185d66b8a7bfdfc8ee1bc1ad699c5a7e",
+        "col-mar": "ceeee41848bbf097c2bab4deb4bae8dd0428cbc3688b49ac2efce0e5b84ca798",
+        "nn-mnar": "dde4f026960ae3a4c00f54a4efc7f95715d6b0b89579c525baa1811ca4750016",
+        "self-masking": "d21b1429c885965c2f777af3e9809cc8c0383024e728c87932468ee048e93216",
+        "censoring": "b8a406ea7e02143ae12a3f7a3027f6303cd663ae01e7d72ebaca64a46f458b57",
+        "panel": "94bb89e5dfbf279e0f956dca3868bbef89acf9fbc3ddcd56a2a21a9910e4394b",
+        "polarization-hard": "3e95f5caf4b1f0ff43e4b8d1554032146682e98805000b635692062e6f7d4e17",
+        "polarization-soft": "9236db61b0342e4968666a9e721a7cca7c04281dec716128fafd12b73a3e46d2",
+        "latent-factor": "f61e4b1ec1f6aba344f9ef4338d508e2a8f888fd4a140ea2f2b17eee90fb455b",
+        "cluster": "12246436b6e49fb57ba1a9099a265ff6336cb003ff4a90be9eb2e1ae377b5d6c",
+        "two-phase": "291be5bb11fe6fb9338ad93f02f4e2a13935f6294ec129ea62a193ac88db4c4a",
+        "block": "e351aff7873f54c7d9d14a6f2ceb5947b0133b275b0b7c8ca878d1552566a7f9",
+        "seq": "1da2acfd31b35ff578b97fe0172cbadec7107f82112dba1d2f16a9773e1ddf1d",
+    },
+    ("tied", 50, 9, 1): {
+        "censoring": "912da0472613718937662d53444ae8a5dac7c2d0fb7926f55d1b43d604d3e7fc",
+        "polarization-hard": "476548055486146bfbac15f5ce3f96e3698bcee7da885ae74951f0662b09606b",
+        "polarization-soft": "ed77208d35f8574914dc8c689d6c09082b9cb7b49da7aed937bca0be1f6bc8c3",
+    },
+    ("tied", 50, 9, 2): {
+        "censoring": "0b758b8b14b07e514136422fac99422a61ad58d6cd5ffa4174a6b40b2d2eaf9a",
+        "polarization-hard": "f42fe3c69e516a51655184f8692f3f89d3981375587a7e7ec8ad7c5f22a50baf",
+        "polarization-soft": "d825abb9460b468662e956b82bbba7cddda51b793b3edfbcc7dc8cf453a53ea6",
+    },
+}
+
+
+@pytest.mark.parametrize("table, m, n, seed", list(PINNED_MASK_DIGESTS))
+def test_every_pattern_mask_is_pinned(table, m, n, seed):
+    if table == "lfm":
+        X = sample_lfm(LfmSpec(m=m, n=n, k=3), SeedSpec(seed, "digest-data"))
+    else:
+        X = _tied_table(m, n, seed)
+    pinned = PINNED_MASK_DIGESTS[table, m, n, seed]
+    got = {tag: hashlib.sha256(mg.generate(mg.PatternSpec(tag, SeedSpec(seed, tag)), X)
+                               .indicator.tobytes()).hexdigest()
+           for tag in pinned}
+    assert mg.MASK_STREAM == 2
+    assert got == pinned
 
 
 def test_pattern_spec_rejects_unknown_tags_and_params():
