@@ -135,16 +135,14 @@ def permutation_ensemble(
     )
 
 
-def adaptive_weight(
-    x1_hat: np.ndarray,
-    x2_hat: np.ndarray,
-    x_obs: np.ndarray,
-    degenerate_tol: float = 1e-12,
-) -> float:
+DEGENERATE_TOL = 1e-12  # adaptive_weight's 0.5 fallback below this denominator
+
+
+def adaptive_weight(x1_hat: np.ndarray, x2_hat: np.ndarray, x_obs: np.ndarray) -> float:
     """Closed-form minimizer of ||x_obs - (w*x1 + (1-w)*x2)||^2 over w.
 
     Falls back to 0.5 when the two predictions coincide (denominator below
-    the degeneracy tolerance). The result is not clipped to [0, 1].
+    ``DEGENERATE_TOL``). The result is not clipped to [0, 1].
     """
     x1 = np.asarray(x1_hat, dtype=float).ravel()
     x2 = np.asarray(x2_hat, dtype=float).ravel()
@@ -157,7 +155,7 @@ def adaptive_weight(
         raise ValueError("need at least one observed entry")
     diff = x1 - x2
     denom = float(diff @ diff)
-    if denom < degenerate_tol:
+    if denom < DEGENERATE_TOL:
         return 0.5
     return float((xo - x2) @ diff / denom)
 

@@ -15,14 +15,14 @@ the Gram block of the other columns is shared, and each permutation's index
 columns take a 2 x 2 Schur complement. This agrees with k separate fits to
 within 1e-9 of the largest entry. The plain fit is the case k = 1.
 
-At a positive penalty the shared block is solved in the row space of each
-side block, not in its full column space: an m x 2n (or n x 2m) block is
-replaced by a square factor with the same row Gram, so the shared system has
-min(m, 2n) + min(n, 2m) columns instead of 2m + 2n (120 instead of 380 on a
-150 x 40 matrix). This is an exact reformulation, since the optimal
-coefficients lie in that row space when the penalty is positive. At a zero
-penalty the shared block is singular in exact arithmetic whatever the
-shape, and the full-width system is solved as it is.
+The shared block is solved in the row space of each side block, not in its
+full column space: an m x 2n (or n x 2m) block is replaced by a square
+factor with the same row Gram, so the shared system has min(m, 2n) +
+min(n, 2m) columns instead of 2m + 2n (120 instead of 380 on a 150 x 40
+matrix). This is an exact reformulation, since the optimal coefficients lie
+in that row space when the penalty is positive. A zero penalty is refused:
+the side blocks are centred, so their row part has rank below m and their
+column part below n, and the unpenalized system is singular for every table.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ __all__ = [
 
 
 class SingularSystemError(RuntimeError):
-    """The normal equations are singular; retry with a positive ridge penalty."""
+    """The normal equations are singular; retry with a larger ridge penalty.
+    Featurized ridge meets this only at a penalty rounding loses (1e-300)."""
 
 
 @dataclass(frozen=True)
@@ -160,18 +161,26 @@ def _check_penalty(ridge_lambda: float) -> None:
         raise ValueError(f"ridge penalty must be >= 0, got {ridge_lambda}")
 
 
+def _check_ridge_penalty(ridge_lambda: float) -> None:
+    """Refuse a featurized-ridge penalty that is not > 0: NaN and negative
+    ones with ``_check_penalty``'s message, then zero."""
+    _check_penalty(ridge_lambda)
+    if ridge_lambda == 0:
+        raise ValueError("featurized ridge needs ridge_lambda > 0: its normal "
+                         "equations are singular at 0 for every table")
+
+
 def featurized_ridge_peak_bytes(m: int, n: int, ridge_lambda: float) -> int:
     """Bytes that ``_ridge_fit_predict`` holds at once on an m x n matrix,
     from the shape alone: the p x p shared Gram block with its solver copies
     (32 bytes per entry) and the side blocks and their intermediates (128
-    bytes per cell), where p = 2m + 2n at a zero penalty and min(m, 2n) +
-    min(n, 2m) above it. Under tracemalloc the fit, plain or averaged over
-    four assignments, peaks at 0.34-0.83 of it from 20 x 6 to 3000 x 20,
-    600 x 600 and 1000 x 400; on smaller tables a few KiB of fixed overhead
-    can exceed it. A NaN or negative penalty is refused here, since the
-    bound would read it as zero."""
-    _check_penalty(ridge_lambda)
-    p = min(m, 2 * n) + min(n, 2 * m) if ridge_lambda > 0 else 2 * m + 2 * n
+    bytes per cell), where p = min(m, 2n) + min(n, 2m). Under tracemalloc
+    the fit, plain or averaged over four assignments, peaks at 0.34-0.83 of
+    it from 20 x 6 to 3000 x 20, 600 x 600 and 1000 x 400; on smaller tables
+    a few KiB of fixed overhead can exceed it. A penalty the fit would
+    refuse is refused here too, so a memory check fails as the fit would."""
+    _check_ridge_penalty(ridge_lambda)
+    p = min(m, 2 * n) + min(n, 2 * m)
     return 32 * p * p + 128 * m * n
 
 
@@ -200,15 +209,14 @@ def _ridge_fit_predict(
     prediction is additive and the average is one ``np.add.outer``.
 
     Predictions depend on the coefficients of R and C only through R @ beta_R
-    and C @ beta_C. When ridge_lambda > 0 the optimum lies in the row space
-    of each block, so a block wider than tall is replaced by an r x r factor
+    and C @ beta_C. As ridge_lambda > 0 the optimum lies in the row space of
+    each block, so a block wider than tall is replaced by an r x r factor
     with the same row Gram (_row_space); the penalty and the centring carry
     over unchanged and the shared system shrinks from 2m + 2n columns to
-    min(m, 2n) + min(n, 2m). At ridge_lambda = 0 the blocks keep their full
-    width and the fit is computed as it always was: that system is singular
-    in exact arithmetic, and whether solve reports it depends on rounding.
+    min(m, 2n) + min(n, 2m). A zero penalty is refused: that system is then
+    singular for every table.
     """
-    _check_penalty(ridge_lambda)
+    _check_ridge_penalty(ridge_lambda)
     if not ft.indicator.any():
         raise ValueError("no training rows: the dataset has no observed entry")
     x, train = ft.observed, ft.indicator
@@ -217,9 +225,7 @@ def _ridge_fit_predict(
         positions = [(np.arange(m), np.arange(n))]
     k = len(positions)
     row_w, col_w = train.sum(axis=1), train.sum(axis=0)
-    rows, cols = _side_block(x, row_w), _side_block(x.T, col_w)
-    if ridge_lambda > 0:
-        rows, cols = _row_space(rows), _row_space(cols)
+    rows, cols = _row_space(_side_block(x, row_w)), _row_space(_side_block(x.T, col_w))
     a_r = _index_columns(np.column_stack([p for p, _ in positions]), row_w)
     a_c = _index_columns(np.column_stack([p for _, p in positions]), col_w)
     y_mean = x[train].mean()

@@ -637,7 +637,7 @@ def gen_two_phase(
 
 
 def _block_design(values: np.ndarray, p_missing: float, n_row_blocks: int,
-                  n_col_blocks: int, rng: np.random.Generator):
+                  n_col_blocks: int):
     """Returns (row block ids, col block ids, per-block missing propensity)."""
     m, n = values.shape
     rows = [slice(b[0], b[-1] + 1) for b in np.array_split(np.arange(m), n_row_blocks)]
@@ -677,11 +677,9 @@ def gen_block(
         raise ValueError(
             f"block grid {n_row_blocks}x{n_col_blocks} exceeds matrix {truth.shape}"
         )
-    rng = seed.rng()
-    row_ids, col_ids, p_miss = _block_design(
-        truth.values, p_missing, n_row_blocks, n_col_blocks, rng
-    )
-    u = rng.random(p_miss.shape)
+    row_ids, col_ids, p_miss = _block_design(truth.values, p_missing, n_row_blocks,
+                                             n_col_blocks)
+    u = seed.rng().random(p_miss.shape)
     block_missing = u < p_miss
     indicator = (~block_missing[row_ids[:, None], col_ids[None, :]]).astype(np.uint8)
     return Mask(indicator)
@@ -759,8 +757,9 @@ def gen_seq(
     rng = seed.rng()
     noise = rng.normal(0.0, cfg.reward_noise_scale, size=(m, n)) \
         if cfg.reward_noise_scale > 0 else np.zeros((m, n))
-    rewards = np.stack([truth.values, truth.values + noise], axis=-1)  # (m, n, 2)
+    x = truth.values
 
+    # one pooled unit or one per agent, whose reshape-sums return their input
     n_units = 1 if cfg.pooling else m
     counts = np.zeros((n_units, 2))
     sums = np.zeros((n_units, 2))
@@ -804,7 +803,7 @@ def gen_seq(
         else:  # gradient_bandit
             arms = (rng.random(m) < pi[:, 1]).astype(np.intp)
 
-        got = rewards[agents, j, arms]
+        got = np.where(arms == 1, x[:, j] + noise[:, j], x[:, j])
         indicator[:, j] = arms
         if cfg.algorithm == "gradient_bandit":
             base = np.where(baseline_cnt[unit] > 0,
@@ -814,20 +813,11 @@ def gen_seq(
             onehot = np.zeros((m, 2))
             onehot[agents, arms] = 1.0
             update = adv[:, None] * (onehot - pi)
-            if cfg.pooling:
-                prefs[0] += update.sum(axis=0)
-            else:
-                prefs += update
-        if cfg.pooling:
-            np.add.at(sums[0], arms, got)
-            np.add.at(counts[0], arms, 1.0)
-            baseline_sum[0] += got.sum()
-            baseline_cnt[0] += m
-        else:
-            sums[agents, arms] += got
-            counts[agents, arms] += 1.0
-            baseline_sum += got
-            baseline_cnt += 1.0
+            prefs += update.reshape(n_units, -1, 2).sum(axis=1)
+        np.add.at(sums, (unit, arms), got)
+        np.add.at(counts, (unit, arms), 1.0)
+        baseline_sum += got.reshape(n_units, -1).sum(axis=1)
+        baseline_cnt += m // n_units
     return Mask(indicator)
 
 

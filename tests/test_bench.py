@@ -688,9 +688,9 @@ def test_oversize_nn_mnar_is_refused_before_any_group_runs(monkeypatch):
 
 def test_oversize_featurized_ridge_is_refused_before_any_group_runs(monkeypatch):
     small, wide = _lfm_record("d0", 24), _lfm_record("d1", 25, m=20, n=40)
-    zero = make_imputer("featurized-ridge", name="fr0", ridge_lambda=0.0)
-    need = featurized_ridge_peak_bytes(20, 40, 0.0)
-    assert need > featurized_ridge_peak_bytes(30, 8, 0.0)
+    ridge = make_imputer("featurized-ridge", name="fr")
+    need = featurized_ridge_peak_bytes(20, 40, 1e-3)
+    assert need > featurized_ridge_peak_bytes(30, 8, 1e-3)
 
     def no_group(*args):
         raise AssertionError("a group ran")
@@ -698,23 +698,26 @@ def test_oversize_featurized_ridge_is_refused_before_any_group_runs(monkeypatch)
     monkeypatch.setattr(bench, "_run_group", no_group)
     monkeypatch.setattr(bench, "_physical_memory", lambda: 2 * need - 1)
     with pytest.raises(ValueError) as err:
-        run_benchmark([small, wide], ["mcar"], [make_imputer("col-mean"), zero],
+        run_benchmark([small, wide], ["mcar"], [make_imputer("col-mean"), ridge],
                       n_seeds=1, jobs=2)
     assert str(err.value).startswith(
-        f"method 'fr0' needs {2 * need:,} bytes of featurized ridge normal equations "
+        f"method 'fr' needs {2 * need:,} bytes of featurized ridge normal equations "
         f"for dataset 'd1' (20x40) with 2 groups at once;")
+    # a zero penalty is refused whatever the budget, as the fit would refuse it
+    zero = make_imputer("featurized-ridge", name="fr0", ridge_lambda=0.0)
+    with pytest.raises(ValueError, match="featurized ridge needs ridge_lambda > 0"):
+        run_benchmark([small, wide], ["mcar"], [make_imputer("col-mean"), zero],
+                      n_seeds=1)
     # an ensemble's featurized-ridge base counts at its default penalty
-    base = featurized_ridge_peak_bytes(20, 40, 1e-3)
-    monkeypatch.setattr(bench, "_physical_memory", lambda: base - 1)
-    with pytest.raises(ValueError, match=f"method 'ens' needs {base:,} bytes"):
+    monkeypatch.setattr(bench, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"method 'ens' needs {need:,} bytes"):
         run_benchmark([small, wide], ["mcar"],
                       [make_imputer("col-mean"), make_imputer("ensemble", name="ens")],
                       n_seeds=1)
-    # the default penalty's narrower system fits where the zero penalty's did not
+    # a budget equal to the need fits
     monkeypatch.undo()
-    monkeypatch.setattr(bench, "_physical_memory", lambda: 2 * need - 1)
-    run_benchmark([small, wide], ["mcar"],
-                  [make_imputer("col-mean"), make_imputer("featurized-ridge")],
+    monkeypatch.setattr(bench, "_physical_memory", lambda: 2 * need)
+    run_benchmark([small, wide], ["mcar"], [make_imputer("col-mean"), ridge],
                   n_seeds=1, jobs=2)
 
 

@@ -137,9 +137,8 @@ def test_impute_mask_data_consistency_check(tmp_path, capsys):
 
 
 def test_impute_singular_ridge_exits_two(tmp_path, capsys, monkeypatch):
-    # the 4x3 case of test_ridge_singular_at_zero_penalty_reports; whether
-    # solve reports a singular system at ridge_lambda=0 depends on rounding,
-    # so the failure is made deterministic
+    # a positive penalty that rounding loses can still leave solve with a
+    # singular system; the failure is made deterministic
     rng = np.random.default_rng(15)
     src, mask_path = tmp_path / "d.csv", tmp_path / "m.csv"
     save_csv(rng.normal(size=(4, 3)), src)
@@ -150,7 +149,7 @@ def test_impute_singular_ridge_exits_two(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", solve)
     code = main(["impute", "--data", str(src), "--mask", str(mask_path),
-                 "--method", "featurized-ridge", "--ridge-lambda", "0",
+                 "--method", "featurized-ridge", "--ridge-lambda", "1e-300",
                  "--out", str(tmp_path / "o.csv")])
     assert code == 2
     err = capsys.readouterr().err
@@ -425,8 +424,8 @@ def test_impute_oversize_exits_two(tmp_path, capsys, monkeypatch):
         (["--method", "knn"], "'knn'", knn, knn_peak_bytes(20)),
         (["--method", "ensemble", "--base-a", "knn"], "'ensemble'", knn, knn_peak_bytes(20)),
         (["--method", "ensemble"], "'ensemble'", ridge, featurized_ridge_peak_bytes(20, 6, 1e-3)),
-        (["--method", "featurized-ridge", "--ridge-lambda", "0"], "'featurized-ridge'", ridge,
-         featurized_ridge_peak_bytes(20, 6, 0.0)),
+        (["--method", "featurized-ridge"], "'featurized-ridge'", ridge,
+         featurized_ridge_peak_bytes(20, 6, 1e-3)),
     ):
         monkeypatch.setattr(bench, "_physical_memory", lambda: need - 1)
         assert impute(*flags) == 2, flags
@@ -437,11 +436,9 @@ def test_impute_oversize_exits_two(tmp_path, capsys, monkeypatch):
     # a budget equal to the need fits
     monkeypatch.setattr(bench, "_physical_memory", lambda: knn_peak_bytes(20))
     assert impute("--method", "knn") == 0 and out.exists()
-    # the default positive penalty solves the narrower system, which fits
-    # where the zero penalty's did not
     out.unlink()
     monkeypatch.setattr(bench, "_physical_memory",
-                        lambda: featurized_ridge_peak_bytes(20, 6, 0.0) - 1)
+                        lambda: featurized_ridge_peak_bytes(20, 6, 1e-3))
     assert impute("--method", "featurized-ridge") == 0 and out.exists()
 
 
@@ -454,6 +451,9 @@ def test_impute_oversize_exits_two(tmp_path, capsys, monkeypatch):
      "ridge penalty must be >= 0, got nan"),
     (["--method", "featurized-ridge", "--ridge-lambda", "-1"],
      "ridge penalty must be >= 0, got -1.0"),
+    (["--method", "featurized-ridge", "--ridge-lambda", "0"],
+     "featurized ridge needs ridge_lambda > 0: its normal equations are singular "
+     "at 0 for every table"),
 ])
 def test_impute_refuses_a_negative_or_nan_penalty(tmp_path, capsys, monkeypatch, flags,
                                                   message):
@@ -463,7 +463,7 @@ def test_impute_refuses_a_negative_or_nan_penalty(tmp_path, capsys, monkeypatch,
     mask, out = tmp_path / "m.csv", tmp_path / "o.csv"
     assert main(["mask", "--data", str(data), "--pattern", "mcar", "--out", str(mask)]) == 0
     # the memory rule refuses the penalty before it sizes featurized ridge
-    # from it, which would read NaN or -1 as zero and refuse the input instead
+    # from it, so the error names the penalty and not the input's size
     monkeypatch.setattr(bench, "_physical_memory", lambda: 1024)
     assert main(["impute", "--data", str(data), "--mask", str(mask),
                  "--out", str(out), *flags]) == 2

@@ -80,7 +80,7 @@ def test_weight_matches_golden_section_oracle():
 def test_weight_degenerate_predictions_give_half():
     x = np.arange(5.0)
     assert adaptive_weight(x, x, x + 1.0) == 0.5
-    assert adaptive_weight(x, x + 1e-5, x, degenerate_tol=1e-12) != 0.5
+    assert adaptive_weight(x, x + 1e-5, x) != 0.5
 
 
 def test_weight_is_not_clipped():

@@ -864,6 +864,16 @@ def test_penalties_must_be_non_negative(tag, key, name, penalty):
     make_imputer(tag, **{key: 0.5}).run(ds, SEED)
 
 
+def test_featurized_ridge_needs_a_positive_penalty():
+    # zero is a valid ICE penalty but leaves featurized ridge's normal
+    # equations singular for every table
+    ds = _random_ds(40, 4, 0.2, 54)
+    with pytest.raises(ValueError, match=re.escape(
+            "featurized ridge needs ridge_lambda > 0")):
+        make_imputer("featurized-ridge", ridge_lambda=0.0).run(ds, SEED)
+    make_imputer("ice", ridge_lambda=0.0).run(ds, SEED)
+
+
 # ---------------------------------------------------------------------------
 # Shared invariants
 # ---------------------------------------------------------------------------

@@ -798,7 +798,7 @@ def test_column_wise_masks_match_the_per_column_loops(kind, m, n):
     # at 600 x 40 the 1 x 3 grid's blocks are big enough that the mean of a
     # strided view would round differently
     for grid in {(1, 1), (1, min(3, n)), (min(3, m), min(2, n)), (m, n)}:
-        got = mg._block_design(values, 0.4, *grid, np.random.default_rng(0))
+        got = mg._block_design(values, 0.4, *grid)
         want = _block_design_by_block(values, 0.4, *grid)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want], grid
 
@@ -1274,6 +1274,98 @@ def test_every_pattern_mask_is_pinned(table, m, n, seed):
     assert got == pinned
 
 
+# sha256 of ``gen_seq`` masks for every algorithm, per agent and pooled, keyed
+# by (m, n, seed) of a rank-3 ``sample_lfm`` table. Recorded before the pooled
+# and per-agent statistics shared one update path.
+PINNED_SEQ_DIGESTS = {
+    (40, 12, 1): {
+        ('epsilon_greedy', False):
+            "34c186908ced2fc320b9a47b45b53614340755950b2878a652b94bbd63985bee",
+        ('epsilon_greedy', True):
+            "1b092224ed1e27972d6fe40d091666b35c4c3521bc5e37b2ad33aad2a557a68e",
+        ('ucb', False):
+            "241aa23abbcf47ffa34a247182adcc68fabcc541d87a6d6b98c7b37e44e53900",
+        ('ucb', True):
+            "5f381581731155af5735d9796d1e691a540c77c797cb8d71b4d568d985cc4854",
+        ('thompson', False):
+            "5c0a0a00c92775e5e7c8f20a6edc8215be86c1b4e94c5a91239a53cfeab24e28",
+        ('thompson', True):
+            "fe2024d2495963498fefa995f6d3e490aed4325c5963a4faf1926ffe9120eecd",
+        ('gradient_bandit', False):
+            "7c13bcbcbd764dd5578a21c6b4ce84c9c69d562eb5703a8d6126325f51c013e8",
+        ('gradient_bandit', True):
+            "f5e562aacdfa9f330cf8393479f21f1cc2a626f6f7c3f61fee6cd53fc4a2e81c",
+    },
+    (40, 12, 2): {
+        ('epsilon_greedy', False):
+            "2865ae61d39d7efdca8c337410c16c072885caa718eacf564bf13d51c2ed172f",
+        ('epsilon_greedy', True):
+            "833b5c7ee39a9b02d716fd4693d80e7f84d6e8105588d011c521a7f027dd9637",
+        ('ucb', False):
+            "5d734e7b631a8ed1d61cb1d7732a687845d662aaacb797f98936d54aa2fd71e4",
+        ('ucb', True):
+            "146ce21921371a05699220910f6507b500fbe305a13a55e22726cc56ee071ddb",
+        ('thompson', False):
+            "1aac98775dd1871af5a6f005aedbde0733ec973c2e47ab32bab57ba37857e6d5",
+        ('thompson', True):
+            "7e5aa1d94338a1204e7ae287aea6fce798324d25e52dca29f35c0479145fce6d",
+        ('gradient_bandit', False):
+            "0b089ff6a59ab2f36db2a1eb501f4e0d246bdfdcfba147a3d6a077c1f429e6f8",
+        ('gradient_bandit', True):
+            "9fbfd8fee3158af99d64a9e350d5a5ad8b28ac5ab9cbe586149f04b0b70d02bc",
+    },
+    (1000, 20, 1): {
+        ('epsilon_greedy', False):
+            "8b2db2901ef02b5ec1e35aa1c8eea8af48f60507ab0d4710d434efff899a01b5",
+        ('epsilon_greedy', True):
+            "d8b08a3cc9008d58f30e610361850954e21962844b5c4983e1cfeca0041925d2",
+        ('ucb', False):
+            "bfa1a052da0f83955ab55517efc98a89a4caea23ac6128cd3afe9da55d7ac480",
+        ('ucb', True):
+            "aca6238f9c0ee8d1959c1291f607798ab5375596401241edd59c958c2c91054c",
+        ('thompson', False):
+            "ef36d1e1da82009c0f0c4323f8dd95260e8c2732db2fa8db0834567bb2081479",
+        ('thompson', True):
+            "1f675351a1945fe0d88e483891e443aebee683fadaca759bc0070bc06e2f520f",
+        ('gradient_bandit', False):
+            "c1c0b0a498625108b14486f80868a8e5fd99295c548b0e30e33c9935acc39eb8",
+        ('gradient_bandit', True):
+            "3c090d7b05869d1ea44cfb4912372d6d6a66bcce9c73f37c8ee7d596d5dcce33",
+    },
+    (1000, 20, 2): {
+        ('epsilon_greedy', False):
+            "1da2acfd31b35ff578b97fe0172cbadec7107f82112dba1d2f16a9773e1ddf1d",
+        ('epsilon_greedy', True):
+            "f03cef50c5780a70099ff7b705fece5ee0e04aee0288516afbc6b25661265f4c",
+        ('ucb', False):
+            "ccffe936618e798a1096ec9c315c3e42680202e9d5ae1dc54e2486937e291151",
+        ('ucb', True):
+            "d3d4db8f82615105184a8367a5019c7c0ede14fff19f0d181aeacc5f96ac5844",
+        ('thompson', False):
+            "68b6e242041d04e1302a994fce1662e5ee9b906fbfa0deff4d91c6e233ae9fe8",
+        ('thompson', True):
+            "787a7896e7a5a1583012d21fecff3599f0a11ad95926396dfc223c2238463306",
+        ('gradient_bandit', False):
+            "3117d26fdcaa76c95a176c8b559669c286fceb53d38ea5250a00c0208a657dd6",
+        ('gradient_bandit', True):
+            "fe29e5d4ffc17111b3f74c2b3a849d491a76a524883889ccb13abf46dbb26f06",
+    },
+}
+
+
+@pytest.mark.parametrize("m, n, seed", list(PINNED_SEQ_DIGESTS))
+def test_seq_mask_is_pinned_for_every_algorithm_and_pooling(m, n, seed):
+    X = sample_lfm(LfmSpec(m=m, n=n, k=3), SeedSpec(seed, "digest-data"))
+    got = {
+        (alg, pooling): hashlib.sha256(
+            mg.gen_seq(X, algorithm=alg, pooling=pooling, seed=SeedSpec(seed, "seq"))
+            .indicator.tobytes()).hexdigest()
+        for alg, pooling in PINNED_SEQ_DIGESTS[m, n, seed]
+    }
+    assert mg.MASK_STREAM == 2
+    assert got == PINNED_SEQ_DIGESTS[m, n, seed]
+
+
 def test_pattern_spec_rejects_unknown_tags_and_params():
     with pytest.raises(ValueError):
         mg.PatternSpec("mar", SeedSpec(0, "x"))
@@ -1316,7 +1408,7 @@ def test_all_propensity_designs_stay_in_unit_interval():
     _, p5 = mg._latent_factor_design(X.shape, 1, 5, seed.rng())
     _, _, p6 = mg._cluster_design(X.shape, 5, 4, 1.0, 1.0, 1.0, seed.rng())
     _, _, p7 = mg._two_phase_design(X.values, 0.4, 0.0, 2.0, seed.rng())
-    _, _, p8 = mg._block_design(X.values, 0.4, 3, 3, seed.rng())
+    _, _, p8 = mg._block_design(X.values, 0.4, 3, 3)
     for p in (p1, p2, p3, p4, p5, p6, p7, p8):
         arr = np.asarray(p)
         assert np.all((arr >= 0.0) & (arr <= 1.0))
