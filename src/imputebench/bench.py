@@ -279,10 +279,10 @@ def rmse(truth: DataMatrix, completed: DataMatrix, mask: Mask) -> float:
             f"shape mismatch: truth {truth.shape}, completed {completed.shape}, "
             f"mask {mask.shape}"
         )
-    missing = mask.missing
-    if not missing.any():
+    missing = np.flatnonzero(mask.indicator == 0)
+    if missing.size == 0:
         raise ValueError("RMSE is undefined with no missing entries")
-    diff = truth.values[missing] - completed.values[missing]
+    diff = truth.values.take(missing) - completed.values.take(missing)
     return float(np.sqrt(np.mean(diff**2)))
 
 
@@ -410,8 +410,6 @@ def _run_group(
         try:
             result = runs(method, ds, group_seed.child(method.name))
             elapsed = time.perf_counter() - t0
-            if _dataset_digest(ds) != digest:
-                raise RuntimeError(f"method {method.name} mutated its input")
             cell["rmse"] = rmse(ds.truth, result.completed, ds.mask)
             cell["diagnostics"] = _scalar_diagnostics(result.diagnostics)
             rmses[method.name] = cell["rmse"]

@@ -197,16 +197,18 @@ class MaskedDataset:
         if self.mask.n_observed == 0:
             raise DegenerateMaskError("dataset has no observed entries")
         m_obs = self.mask.observed
-        if np.isnan(obs[m_obs]).any():
+        nan = np.isnan(obs)
+        if (nan & m_obs).any():
             raise ValueError("observed cells must not be NaN")
-        if not np.isnan(obs[~m_obs]).all():
+        if not (nan | m_obs).all():
             raise ValueError("missing cells must be NaN")
         if self.truth is not None:
             if self.truth.shape != self.mask.shape:
                 raise ShapeMismatchError(
                     f"truth {self.truth.shape} does not match mask {self.mask.shape}"
                 )
-            if not np.array_equal(obs[m_obs], self.truth.values[m_obs]):
+            # nan is now exactly the missing cells
+            if not ((obs == self.truth.values) | nan).all():
                 raise ValueError("observed cells must equal the truth there")
         obs.setflags(write=False)
         object.__setattr__(self, "observed", obs)

@@ -8,6 +8,7 @@ uses to weight two methods against each other.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -146,6 +147,25 @@ def impute_knn(ds: MaskedDataset, k: int = 5) -> ImputationResult:
 # ---------------------------------------------------------------------------
 
 
+def _gram_eigh(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The singular values of w (length min(m, n), descending) and, in the
+    same order, the eigenvectors of the Gram matrix of w's shorter side."""
+    tall = w.shape[0] >= w.shape[1]
+    evals, vecs = np.linalg.eigh(np.dot(w.T, w) if tall else np.dot(w, w.T))
+    return np.sqrt(np.maximum(evals[::-1], 0.0)), vecs[:, ::-1]
+
+
+def _shrink(
+    w: np.ndarray, s: np.ndarray, vecs: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink every singular value of w by lam, given w's ``_gram_eigh``:
+    the result and its spectrum."""
+    keep = s > lam
+    v = vecs[:, keep]
+    op = np.dot(v * ((s[keep] - lam) / s[keep]), v.T)
+    return (w @ op if w.shape[0] >= w.shape[1] else op @ w), np.maximum(s - lam, 0.0)
+
+
 def _soft_threshold(w: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Shrink every singular value of w by lam: the result and its spectrum
     (length min(m, n), descending).
@@ -156,24 +176,10 @@ def _soft_threshold(w: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     w V_k diag((s_k - lam) / s_k) V_k^T over the s_k > lam; for m < n the
     same operator, built from w w^T, acts on the left. It agrees with the
     thin-SVD shrink to about 1e-14 of max |w| at lam = 0.1 s_1, 1e-6 s_1
-    and 0 on soft-impute iterates.
+    and 0 on soft-impute iterates. ``impute_soft`` runs its two halves,
+    ``_gram_eigh`` and ``_shrink``, apart.
     """
-    tall = w.shape[0] >= w.shape[1]
-    evals, vecs = np.linalg.eigh(np.dot(w.T, w) if tall else np.dot(w, w.T))
-    s = np.sqrt(np.maximum(evals[::-1], 0.0))
-    keep = s > lam
-    v = vecs[:, ::-1][:, keep]
-    op = np.dot(v * ((s[keep] - lam) / s[keep]), v.T)
-    return (w @ op if tall else op @ w), np.maximum(s - lam, 0.0)
-
-
-def _soft_objective(
-    x_obs: np.ndarray, z_obs: np.ndarray, lam: float, s: np.ndarray
-) -> float:
-    """The objective at z, given z at the observed cells (z_obs, in the order
-    of the observed values x_obs) and the singular values s of z."""
-    resid = x_obs - z_obs
-    return 0.5 * float(np.dot(resid, resid)) + lam * float(s.sum())
+    return _shrink(w, *_gram_eigh(w), lam)
 
 
 def impute_soft(
@@ -199,52 +205,73 @@ def impute_soft(
     pass, so a run stopped by max_iter shows how far it was from tol.
 
     When lam is omitted it defaults to 0.1 times the top singular value of
-    the mean-filled matrix. The shrink goes through the eigendecomposition
-    of the Gram matrix of the shorter side (``_soft_threshold``), which
-    agrees with a thin SVD to about 1e-14 of the largest entry.
+    the mean-filled matrix, taken from the first pass's decomposition. The
+    shrink goes through the eigendecomposition of the Gram matrix of the
+    shorter side (``_soft_threshold``), which agrees with a thin SVD to
+    about 1e-14 of the largest entry.
     """
     if lam is not None and not lam >= 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    z = _mean_fill(ds)
-    spectrum = np.linalg.svd(z, compute_uv=False)
+    # w is every pass's filled matrix: its observed cells are written once,
+    # here, and each pass writes only the missing ones.
+    w = _mean_fill(ds)
+    missing = np.flatnonzero(ds.mask.indicator == 0)
+    # The mean fill is the first pass's filled matrix, so that pass's
+    # decomposition also gives the default lam and the start's objective,
+    # whose residual term is 0.
+    s, vecs = _gram_eigh(w)
     if lam is None:
-        lam = 0.1 * float(spectrum[0])
-    observed = ds.mask.observed
-    x_obs = ds.observed[observed]
-    # z.ravel()[obs_idx] is z[observed] without a boolean gather per iteration
-    obs_idx = np.flatnonzero(observed)
+        lam = 0.1 * float(s[0])
 
-    def shrink(fill: np.ndarray) -> tuple[np.ndarray, float]:
-        """The step from ``fill``: its result and the objective there."""
-        z_new, s = _soft_threshold(np.where(observed, ds.observed, fill), lam)
-        return z_new, _soft_objective(x_obs, z_new.ravel()[obs_idx], lam, s)
+    def shrink(s: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, float]:
+        """The step from w, given its decomposition: its result and the
+        objective there."""
+        z_new, s_new = _shrink(w, s, vecs, lam)
+        r = (w - z_new).ravel()
+        r[missing] = 0.0
+        return z_new, 0.5 * float(np.dot(r, r)) + lam * float(s_new.sum())
 
-    objective = [_soft_objective(x_obs, z.ravel()[obs_idx], lam, spectrum)]
+    objective = [lam * float(s.sum())]
+    # z is w itself until the first pass's result replaces it; w is written
+    # only from the second pass on.
+    z = w
+    z_sq = float(np.dot(z.ravel(), z.ravel()))
     converged = False
     iterations = 0
     # t = 0 at the mean fill, which is no shrink's result: momentum starts
     # on the third pass, as after a restart it starts on the second.
-    t, z_prev = 0.0, z
+    t = 0.0
     for iterations in range(1, max_iter + 1):
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         momentum = t > 1.0
-        y = z + (t - 1.0) / t_next * (z - z_prev) if momentum else z
-        z_new, value = shrink(y)
+        if iterations > 1:
+            y = z.take(missing)
+            if momentum:
+                # step is z - z_prev, the last pass's diff, flat
+                c = (t - 1.0) / t_next
+                y += c * step.take(missing)
+            w.ravel()[missing] = y
+            s, vecs = _gram_eigh(w)
+        z_new, value = shrink(s, vecs)
         restart = momentum and value > objective[-1]
         if restart:
-            z_new, value = shrink(z)
-        diff = z_new - z
+            w.ravel()[missing] = z.take(missing)
+            z_new, value = shrink(*_gram_eigh(w))
+        diff = (z_new - z).ravel()
+        diff_sq = float(np.dot(diff, diff))
         if momentum and not restart:
-            restart = float(np.dot((y - z_new).ravel(), diff.ravel())) > 0.0
+            # (y - z_new) . diff, with y = z + c * step over every cell
+            restart = c * float(np.dot(step, diff)) - diff_sq > 0.0
         t = 1.0 if restart else t_next
-        change = float(np.linalg.norm(diff)) / max(float(np.linalg.norm(z)), 1e-12)
-        z_prev, z = z, z_new
+        change = math.sqrt(diff_sq) / max(math.sqrt(z_sq), 1e-12)
+        z, step = z_new, diff
         objective.append(value)
         if change < tol:
             converged = True
             break
+        z_sq = float(np.dot(z.ravel(), z.ravel()))
     diagnostics = {
         "method": "soft-impute",
         "lambda": lam,

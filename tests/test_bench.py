@@ -6,6 +6,8 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -399,6 +401,33 @@ def test_failed_method_excluded_from_normalization():
     assert all(c["error"] is not None and c["accuracy"] is None for c in broken)
     survivors = [c for c in report.cells if c["method"] != "broken"]
     assert sorted(c["accuracy"] for c in survivors) == [0.0, 1.0]
+
+
+@dataclass(frozen=True)
+class _WritesItsInput(Imputer):
+    """Test-only method that writes into the input array at ``target``."""
+
+    target: str = "observed"
+
+    def run(self, ds, seed):
+        attrgetter(self.target)(ds)[0, 0] = 0.0
+        raise AssertionError("the write went through")
+
+
+@pytest.mark.parametrize("target", ["observed", "mask.indicator", "truth.values"])
+def test_a_method_that_writes_its_input_gets_an_error_cell(target):
+    # the group's arrays are read-only, so the write itself raises
+    datasets = [_lfm_record("d0", 8)]
+    methods = [make_imputer("col-mean"), make_imputer("soft-impute")]
+    want = run_benchmark(datasets, ["mcar", "self-masking"], methods, n_seeds=1, seed=13).cells
+    writer = _WritesItsInput(method="col-mean", name="writer", target=target)
+    report = run_benchmark(datasets, ["mcar", "self-masking"], [methods[0], writer, methods[1]],
+                           n_seeds=1, seed=13)
+    written = [c for c in report.cells if c["method"] == "writer"]
+    assert len(written) == 2
+    assert all(c["error"] == "ValueError: assignment destination is read-only"
+               and c["rmse"] is None for c in written)
+    assert [c for c in report.cells if c["method"] != "writer"] == want
 
 
 def _count_soft_impute(monkeypatch, fail=False):

@@ -113,10 +113,18 @@ def test_apply_mask_errors():
 def test_masked_dataset_cross_checks():
     truth = DataMatrix([[1.0, 2.0]])
     mask = Mask([[1, 0]])
-    with pytest.raises(ValueError):
-        MaskedDataset(mask=mask, observed=np.array([[9.0, np.nan]]), truth=truth)
-    with pytest.raises(ValueError):
-        MaskedDataset(mask=mask, observed=np.array([[1.0, 2.0]]), truth=truth)
+    # each broken invariant is named, and the first one broken wins
+    for observed, message in (
+        ([[np.nan, np.nan]], "observed cells must not be NaN"),
+        ([[np.nan, 2.0]], "observed cells must not be NaN"),
+        ([[1.0, 2.0]], "missing cells must be NaN"),
+        ([[9.0, 2.0]], "missing cells must be NaN"),
+        ([[9.0, np.nan]], "observed cells must equal the truth there"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MaskedDataset(mask=mask, observed=np.array(observed), truth=truth)
+    with pytest.raises(ValueError, match="^observed cells must not be NaN$"):
+        MaskedDataset(mask=mask, observed=np.array([[np.nan, 2.0]]))
     ds = MaskedDataset(mask=mask, observed=np.array([[1.0, np.nan]]))
     assert ds.truth is None and ds.observed_values().tolist() == [1.0]
 

@@ -326,7 +326,9 @@ def _impute_soft_reference(ds, lam=None, max_iter=200, tol=1e-5):
     """impute_soft in its thin-SVD formulation: every shrink takes the full
     SVD of the filled matrix and the objective re-gathers the observed cells
     from the dataset. The momentum coefficient is written out on every pass
-    (zero while t <= 1) and the restart test is taken literally."""
+    (zero while t <= 1) and the restart test is taken literally. lam and
+    the start's spectrum come from the mean fill's Gram eigenvalues, which
+    impute_soft's first pass computes."""
     observed = ds.mask.observed
 
     def objective_at(z, s):
@@ -340,7 +342,8 @@ def _impute_soft_reference(ds, lam=None, max_iter=200, tol=1e-5):
         return z, objective_at(z, s)
 
     z = _mean_fill(ds)
-    spectrum = np.linalg.svd(z, compute_uv=False)
+    gram = z.T @ z if z.shape[0] >= z.shape[1] else z @ z.T
+    spectrum = np.sqrt(np.maximum(np.linalg.eigh(gram)[0][::-1], 0.0))
     if lam is None:
         lam = 0.1 * float(spectrum[0])
     objective = [objective_at(z, spectrum)]
@@ -513,6 +516,27 @@ def test_soft_default_shrinkage_is_tenth_of_top_singular_value():
     assert res.diagnostics["lambda"] == pytest.approx(0.1 * top, rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(40, 12), (12, 40)])
+def test_soft_takes_no_svd_and_one_eigh_a_pass(shape, monkeypatch):
+    # the first pass's decomposition also gives the default lam
+    ds = _random_ds(*shape, 0.3, 57, rank=2)
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("impute_soft took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    res = impute_soft(ds, max_iter=2, tol=0.0)
+    assert res.diagnostics["iterations"] == 2
+    assert calls == [(12, 12), (12, 12)]  # the shorter side's Gram
+
+
 def test_soft_nonconvergence_is_reported_not_raised():
     ds = _random_ds(15, 10, 0.4, 47, rank=2)
     res = impute_soft(ds, lam=0.01, max_iter=2, tol=1e-12)
@@ -525,19 +549,17 @@ def test_soft_nonconvergence_is_reported_not_raised():
 # each imputer must return the same bits with either.
 
 
-def _soft_threshold_matmul(w, lam):
+def _gram_eigh_matmul(w):
     tall = w.shape[0] >= w.shape[1]
     evals, vecs = np.linalg.eigh(w.T @ w if tall else w @ w.T)
-    s = np.sqrt(np.maximum(evals[::-1], 0.0))
+    return np.sqrt(np.maximum(evals[::-1], 0.0)), vecs[:, ::-1]
+
+
+def _shrink_matmul(w, s, vecs, lam):
     keep = s > lam
-    v = vecs[:, ::-1][:, keep]
+    v = vecs[:, keep]
     op = (v * ((s[keep] - lam) / s[keep])) @ v.T
-    return (w @ op if tall else op @ w), np.maximum(s - lam, 0.0)
-
-
-def _soft_objective_matmul(x_obs, z_obs, lam, s):
-    resid = x_obs - z_obs
-    return 0.5 * float(resid @ resid) + lam * float(s.sum())
+    return (w @ op if w.shape[0] >= w.shape[1] else op @ w), np.maximum(s - lam, 0.0)
 
 
 def _centered_ridge_matmul(a, y, lam):
@@ -564,10 +586,19 @@ def test_soft_products_match_matmul_reference_bitwise(shape, monkeypatch):
     cases = [(_random_ds(m, n, 0.4, 90 + m, rank=3), None),
              (_random_ds(m, n, 0.6, 91 + m), 0.5)]
     got = [impute_soft(ds, lam=lam) for ds, lam in cases]
-    monkeypatch.setattr(imputers, "_soft_threshold", _soft_threshold_matmul)
-    monkeypatch.setattr(imputers, "_soft_objective", _soft_objective_matmul)
+    ran = []
+
+    def counted(reference):
+        def run(*args):
+            ran.append(reference.__name__)
+            return reference(*args)
+        return run
+
+    monkeypatch.setattr(imputers, "_gram_eigh", counted(_gram_eigh_matmul))
+    monkeypatch.setattr(imputers, "_shrink", counted(_shrink_matmul))
     for res, (ds, lam) in zip(got, cases):
         _same_result(res, impute_soft(ds, lam=lam))
+    assert set(ran) == {"_gram_eigh_matmul", "_shrink_matmul"}
 
 
 @pytest.mark.parametrize("shape", [(1000, 20), (150, 40), (50, 12), (9, 9)])
