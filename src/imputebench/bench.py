@@ -7,12 +7,13 @@ method on that identical input, and min-max normalizes the per-method RMSE
 into an accuracy in [0, 1]. All group randomness derives from
 (run seed, dataset name, pattern, replicate), so adding a dataset or
 changing parallelism never perturbs another group's numbers. Groups run
-with every loaded OpenBLAS held at one thread, so the cells do not depend
-on the machine's core count either; a BLAS that cannot be pinned keeps its
-own thread count, as before, and a host program's other threads also see
-one BLAS thread while a grid runs. Wall-clock timings are reported in a
-sidecar array rather than inside the cells, which keeps the cells
-byte-identical across reruns.
+with every OpenBLAS loaded when the process's first grid starts held at one
+thread, so the cells do not depend on the machine's core count either. That
+set is enough: a grid calls only numpy's BLAS, which numpy loads at import.
+A BLAS that cannot be pinned keeps its own thread count, as before, and a
+host program's other threads also see one BLAS thread while a grid runs.
+Wall-clock timings are reported in a sidecar array rather than inside the
+cells, which keeps the cells byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -252,10 +253,11 @@ def standardize_observed(
 
     Observed entries end up with mean 0 and population variance 1; a column
     with no observed entries, a single one, or zero spread keeps scale 1.
-    The ground truth (when present) moves through the same affine map.
+    The whole observed matrix, its NaN holes included, and the ground truth
+    (when present) move through the same affine map.
     """
     obs = ds.mask.observed
-    m, n = ds.shape
+    n = ds.shape[1]
     mean = np.zeros(n)
     scale = np.ones(n)
     for j in range(n):
@@ -267,7 +269,7 @@ def standardize_observed(
         if var > 0:
             scale[j] = np.sqrt(var)
     params = ColumnStandardization(mean=mean, scale=scale)
-    observed = np.where(obs, params.apply(np.where(obs, ds.observed, 0.0)), np.nan)
+    observed = params.apply(ds.observed)
     truth = DataMatrix(params.apply(ds.truth.values)) if ds.truth is not None else None
     return MaskedDataset(mask=ds.mask, observed=observed, truth=truth), params
 
@@ -526,16 +528,16 @@ def _load_thread_controls(path: str) -> Optional[tuple[Callable, Callable]]:
     return None
 
 
-# Library path -> its thread controls, or None. A loaded library stays loaded
-# for the life of the process, so each is opened and looked up once: a fresh
-# ctypes handle per grid costs time and leaves Python heap behind for good.
-_THREAD_CONTROLS: dict[str, Optional[tuple[Callable, Callable]]] = {}
+@cache
+def _openblas_thread_controls() -> tuple[tuple[Callable, Callable], ...]:
+    """The (get, set) thread-count functions of every OpenBLAS loaded at the
+    first call, found through /proc/self/maps or, where that file does not
+    exist, among numpy's bundled libraries. Empty when there is none.
 
-
-def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
-    """The (get, set) thread-count functions of every OpenBLAS loaded in this
-    process, found through /proc/self/maps or, where that file does not
-    exist, among numpy's bundled libraries. Empty when there is none."""
+    Found once per process: a grid calls only numpy's BLAS, which numpy
+    loads at import, so a library loaded later cannot move a cell. Each
+    library is also opened once, as a fresh ctypes handle per grid would
+    cost time and leave Python heap behind for good."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split(maxsplit=5)[5].strip()
@@ -544,13 +546,8 @@ def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
         root = Path(np.__file__).parent
         paths = {str(p) for d in (root.parent / "numpy.libs", root / ".dylibs")
                  for p in d.glob("*openblas*")}
-    controls = []
-    for path in sorted(paths):
-        if path not in _THREAD_CONTROLS:
-            _THREAD_CONTROLS[path] = _load_thread_controls(path)
-        if _THREAD_CONTROLS[path] is not None:
-            controls.append(_THREAD_CONTROLS[path])
-    return controls
+    found = map(_load_thread_controls, sorted(paths))
+    return tuple(controls for controls in found if controls is not None)
 
 
 class _OneBlasThread:

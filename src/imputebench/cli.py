@@ -299,7 +299,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    # A singular ridge system is the user's penalty setting, not a bug.
+    # A LinAlgError is a ValueError, but a failed factorization is a fault in
+    # the method, not in the configuration; a singular ridge system is the
+    # user's penalty setting, not a bug.
+    except np.linalg.LinAlgError:
+        raise
     except (ValueError, OSError, json.JSONDecodeError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

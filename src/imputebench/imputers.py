@@ -159,16 +159,7 @@ def _shrink(
     w: np.ndarray, s: np.ndarray, vecs: np.ndarray, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shrink every singular value of w by lam, given w's ``_gram_eigh``:
-    the result and its spectrum."""
-    keep = s > lam
-    v = vecs[:, keep]
-    op = np.dot(v * ((s[keep] - lam) / s[keep]), v.T)
-    return (w @ op if w.shape[0] >= w.shape[1] else op @ w), np.maximum(s - lam, 0.0)
-
-
-def _soft_threshold(w: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shrink every singular value of w by lam: the result and its spectrum
-    (length min(m, n), descending).
+    the result and its spectrum (length min(m, n), descending).
 
     Shrinkage zeroes every singular value at or below lam, so the step needs
     only the eigendecomposition of the Gram matrix of w's shorter side, not a
@@ -176,10 +167,12 @@ def _soft_threshold(w: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     w V_k diag((s_k - lam) / s_k) V_k^T over the s_k > lam; for m < n the
     same operator, built from w w^T, acts on the left. It agrees with the
     thin-SVD shrink to about 1e-14 of max |w| at lam = 0.1 s_1, 1e-6 s_1
-    and 0 on soft-impute iterates. ``impute_soft`` runs its two halves,
-    ``_gram_eigh`` and ``_shrink``, apart.
+    and 0 on soft-impute iterates.
     """
-    return _shrink(w, *_gram_eigh(w), lam)
+    keep = s > lam
+    v = vecs[:, keep]
+    op = np.dot(v * ((s[keep] - lam) / s[keep]), v.T)
+    return (w @ op if w.shape[0] >= w.shape[1] else op @ w), np.maximum(s - lam, 0.0)
 
 
 def impute_soft(
@@ -207,8 +200,8 @@ def impute_soft(
     When lam is omitted it defaults to 0.1 times the top singular value of
     the mean-filled matrix, taken from the first pass's decomposition. The
     shrink goes through the eigendecomposition of the Gram matrix of the
-    shorter side (``_soft_threshold``), which agrees with a thin SVD to
-    about 1e-14 of the largest entry.
+    shorter side (``_gram_eigh`` and ``_shrink``), which agrees with a thin
+    SVD to about 1e-14 of the largest entry.
     """
     if lam is not None and not lam >= 0:
         raise ValueError(f"lam must be >= 0, got {lam}")

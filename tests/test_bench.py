@@ -246,6 +246,50 @@ def test_standardize_moves_truth_through_same_map():
     assert np.allclose(params.invert(out.truth.values), truth, atol=1e-10)
 
 
+def _standardize_two_masks(ds):
+    """The formula ``standardize_observed`` used before it mapped the whole
+    observed matrix: the same per-column mean and scale, applied to the
+    observed cells only, with NaN written into the missing ones."""
+    obs = ds.mask.observed
+    n = ds.shape[1]
+    mean, scale = np.zeros(n), np.ones(n)
+    for j in range(n):
+        vals = ds.observed[obs[:, j], j]
+        if vals.size:
+            mean[j] = vals.mean()
+            if vals.var() > 0:
+                scale[j] = np.sqrt(vals.var())
+    params = bench.ColumnStandardization(mean=mean, scale=scale)
+    observed = np.where(obs, params.apply(np.where(obs, ds.observed, 0.0)), np.nan)
+    return observed, params.apply(ds.truth.values), mean, scale
+
+
+def _standardize_inputs():
+    for m, n in ((1000, 20), (150, 40), (7, 3)):
+        truth = sample_lfm(LfmSpec(m=m, n=n, k=min(3, n), noise_scale=0.1),
+                           SeedSpec(m, "standardize"))
+        for tag in PATTERN_TAGS:
+            # the default 10 x 10 block grid does not fit in 7 x 3
+            params = {"n_row_blocks": 2, "n_col_blocks": 1} if tag == "block" and m < 10 else {}
+            mask = generate(PatternSpec(tag, SeedSpec(5, tag), params), truth)
+            yield f"{tag} {m}x{n}", apply_mask(truth, mask)
+    rng = np.random.default_rng(8)
+    ind = np.ones((9, 3), dtype=np.uint8)
+    ind[:, 0] = 0  # no observed entry
+    ind[1:, 1] = 0  # one observed entry
+    yield "empty and single columns", apply_mask(DataMatrix(rng.normal(size=(9, 3))), Mask(ind))
+
+
+def test_standardize_maps_the_whole_matrix_like_the_two_mask_formula():
+    for name, ds in _standardize_inputs():
+        out, params = standardize_observed(ds)
+        observed, truth, mean, scale = _standardize_two_masks(ds)
+        assert out.observed.tobytes() == observed.tobytes(), name  # NaN bits too
+        assert out.truth.values.tobytes() == truth.tobytes(), name
+        assert params.mean.tobytes() == mean.tobytes(), name
+        assert params.scale.tobytes() == scale.tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
@@ -628,6 +672,27 @@ def test_overlapping_grids_restore_once_the_last_one_ends():
             set_(count)
     assert len(inside) == 800
     assert all(counts == [1] * len(controls) for counts in inside)
+
+
+def test_grids_find_the_blas_libraries_once_per_process(monkeypatch):
+    # the discovery reads /proc/self/maps at most once, at the first grid;
+    # later grids pin and restore the libraries it found
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        if file == "/proc/self/maps":
+            opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "open", counting_open, raising=False)
+    bench._openblas_thread_controls.cache_clear()
+    methods = [make_imputer("col-mean"), make_imputer("soft-impute")]
+    cells = []
+    for jobs in (1, 2):
+        cells.append(run_benchmark([_lfm_record("d0", 26)], ["mcar", "panel"], methods,
+                                   n_seeds=1, seed=26, jobs=jobs).cells)
+        assert len(opened) <= 1
+    assert cells[0] == cells[1]
 
 
 def test_repeated_pins_do_not_grow_the_heap():

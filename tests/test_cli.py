@@ -158,6 +158,25 @@ def test_impute_singular_ridge_exits_two(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_impute_lets_a_failed_factorization_propagate(tmp_path, capsys, monkeypatch):
+    # numpy's LinAlgError subclasses ValueError, yet a factorization that
+    # fails inside a method is a fault, not a configuration error (exit 2)
+    rng = np.random.default_rng(16)
+    src, mask_path = tmp_path / "d.csv", tmp_path / "m.csv"
+    save_csv(rng.normal(size=(6, 3)), src)
+    mask_path.write_text("1,1,1\n1,0,1\n1,1,1\n1,1,0\n1,1,1\n1,1,1\n")
+
+    def eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        main(["impute", "--data", str(src), "--mask", str(mask_path),
+              "--method", "soft-impute", "--out", str(tmp_path / "o.csv")])
+    assert "error:" not in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_impute_singular_ice_asks_for_a_larger_penalty(tmp_path, capsys):
     # one observed cell in the second column: at a zero penalty both columns'
     # centred predictor blocks are all zeros

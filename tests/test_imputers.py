@@ -18,9 +18,10 @@ from imputebench.imputers import (
     METHOD_DEFAULTS,
     METHOD_TAGS,
     _column_means,
+    _gram_eigh,
     _mean_fill,
     _row_distances,
-    _soft_threshold,
+    _shrink,
     impute_col_mean,
     impute_ice,
     impute_knn,
@@ -419,7 +420,8 @@ def _impute_soft_plain(ds, lam, max_iter, tol):
     stop rule: the last iterate and the number of passes."""
     z = _mean_fill(ds)
     for passes in range(1, max_iter + 1):
-        z_new = _soft_threshold(np.where(ds.mask.observed, ds.observed, z), lam)[0]
+        w = np.where(ds.mask.observed, ds.observed, z)
+        z_new = _shrink(w, *_gram_eigh(w), lam)[0]
         change = np.linalg.norm(z_new - z) / max(np.linalg.norm(z), 1e-12)
         z = z_new
         if change < tol:
@@ -474,10 +476,11 @@ def test_soft_threshold_matches_thin_svd(name):
     w = _shrink_inputs()[name]
     # the step's own top singular value, so lam >= sigma_1 is exact on its
     # side; the thin SVD's differs from it in the last bits
-    sigma_1 = _soft_threshold(w, 0.0)[1][0]
+    s, vecs = _gram_eigh(w)
+    sigma_1 = s[0]
     for factor in (0.0, 1e-6, 0.1, 1.0, 2.0):
         lam = factor * sigma_1
-        got, spectrum = _soft_threshold(w, lam)
+        got, spectrum = _shrink(w, s, vecs, lam)
         assert got.shape == w.shape
         # relative to the input: at lam >= sigma_1 both results are ~0
         diff = np.abs(got - _thin_svd_shrink(w, lam)).max()
