@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import DataMatrix, Mask, MaskedDataset, SeedSpec, apply_mask, resolve_params
 from .featurize import featurized_ridge_peak_bytes
-from .imputers import EQUIVARIANT_METHODS, ImputationResult, Imputer, knn_peak_bytes
+from .imputers import Imputer, knn_peak_bytes, run_shared
 from .missingness import (
     MASK_STREAM,
     PATTERN_DEFAULTS,
@@ -339,34 +339,6 @@ def _scalar_diagnostics(diag: Mapping) -> dict:
     return keep
 
 
-class _SeedlessRuns:
-    """Runs methods on one group's input, computing each seedless method
-    (``EQUIVARIANT_METHODS``) once per set of params, so the grid cell and
-    the ensemble base that both ask for it get the same result.
-
-    Only a plain ``Imputer`` on the group's own dataset is shared: a subclass
-    may override ``run`` with other behaviour, and is called with (ds, seed)
-    alone. A run that raises is not kept. The ensemble gets this runner as
-    its ``base_run``; the runner holds no reference to itself, so the
-    group's arrays are freed as soon as the group ends.
-    """
-
-    def __init__(self, ds: MaskedDataset):
-        self.ds = ds
-        self.results: dict[tuple, ImputationResult] = {}
-
-    def __call__(self, imputer: Imputer, ds: MaskedDataset,
-                 seed: SeedSpec) -> ImputationResult:
-        if type(imputer) is not Imputer:
-            return imputer.run(ds, seed)
-        if ds is not self.ds or imputer.method not in EQUIVARIANT_METHODS:
-            return imputer.run(ds, seed, base_run=self)
-        key = (imputer.method, tuple(sorted(imputer.params.items())))
-        if key not in self.results:
-            self.results[key] = imputer.run(ds, seed)
-        return self.results[key]
-
-
 @dataclass
 class _GroupResult:
     cells: list
@@ -396,7 +368,7 @@ def _run_group(
             [], [], dropped={**base, "reason": f"mask generation failed: {exc}"}
         )
     digest = _dataset_digest(ds)
-    runs = _SeedlessRuns(ds)
+    shared: dict = {}  # seedless runs, dropped with the group (see run_shared)
     cells, timings, rmses = [], [], {}
     for method in methods:
         cell = {
@@ -410,7 +382,7 @@ def _run_group(
         }
         t0 = time.perf_counter()
         try:
-            result = runs(method, ds, group_seed.child(method.name))
+            result = run_shared(method, ds, group_seed.child(method.name), shared)
             elapsed = time.perf_counter() - t0
             cell["rmse"] = rmse(ds.truth, result.completed, ds.mask)
             cell["diagnostics"] = _scalar_diagnostics(result.diagnostics)

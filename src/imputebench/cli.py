@@ -163,10 +163,6 @@ def _cmd_mask(args) -> int:
     mask = generate(spec, record.matrix)
     bench_mod.save_mask_csv(mask, args.out)
     sidecar = Path(args.sidecar) if args.sidecar else Path(str(args.out) + ".json")
-    resolved = {
-        k: (list(v) if isinstance(v, tuple) else v)
-        for k, v in spec.resolved_params().items()
-    }
     sidecar.write_text(
         json.dumps(
             {
@@ -174,7 +170,7 @@ def _cmd_mask(args) -> int:
                 "seed": args.seed,
                 "data": str(args.data),
                 "shape": list(mask.shape),
-                "params": resolved,
+                "params": spec.resolved_params(),
                 "missing_fraction": missing_fraction(mask),
             },
             sort_keys=True,
@@ -213,7 +209,7 @@ def _cmd_impute(args) -> int:
         json.dumps(
             {
                 "method": args.method,
-                "params": {k: v for k, v in imputer.params.items()},
+                "params": imputer.params,
                 "seed": args.seed,
                 "diagnostics": result.diagnostics,
                 "n_imputed": int(mask.n_missing),
@@ -304,7 +300,7 @@ def main(argv=None) -> int:
     # user's penalty setting, not a bug.
     except np.linalg.LinAlgError:
         raise
-    except (ValueError, OSError, json.JSONDecodeError, SingularSystemError) as exc:
+    except (ValueError, OSError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,19 +13,19 @@ once per permutation. The blend layer runs two base methods and combines
 them with the closed-form weight that minimizes squared error against the
 observed entries; the weight is intentionally not clipped to [0, 1].
 
-That single unpermuted run of an equivariant base goes through an optional
-``base_run(imputer, ds, seed)``; without one it is ``imputer.run(ds, seed)``.
-Inside a bench group the harness passes a runner that computes each such
-seedless base once, so a base the grid also runs as its own method (the
-default ``soft-impute``) is computed once and shared with the grid cell. Its
-time is then counted in whichever of the two cells runs first, so with
-``soft-impute`` listed before ``ensemble`` the ensemble cell's
+That single unpermuted run of an equivariant base goes through
+``imputers.run_shared`` with the caller's optional ``shared`` dict. A bench
+group keeps one such dict, keyed by the input (``id(ds)``), method and
+params, so a base the grid also runs as its own method on the same input
+(the default ``soft-impute``) is computed once and shared with the grid
+cell. Its time is then counted in whichever of the two cells runs first, so
+with ``soft-impute`` listed before ``ensemble`` the ensemble cell's
 ``timings[].seconds`` no longer includes it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .imputers import (
     Imputer,
     _featurized_ridge_fit,
     make_imputer,
+    run_shared,
 )
 
 __all__ = [
@@ -45,10 +46,6 @@ __all__ = [
     "blend",
     "permutation_ensemble",
 ]
-
-# How a caller may run an equivariant base: (imputer, ds, seed) -> result.
-BaseRun = Callable[[Imputer, MaskedDataset, SeedSpec], ImputationResult]
-
 
 def _permute_dataset(
     ds: MaskedDataset, row_perm: np.ndarray, col_perm: np.ndarray
@@ -69,7 +66,7 @@ def permutation_ensemble(
     n_perms: int,
     seed: SeedSpec,
     perms: Optional[Sequence[tuple[np.ndarray, np.ndarray]]] = None,
-    base_run: Optional[BaseRun] = None,
+    shared: Optional[dict] = None,
 ) -> ImputationResult:
     """Average the base imputer over row/column permutations of the input.
 
@@ -77,7 +74,7 @@ def permutation_ensemble(
     tests, and is always run as given; otherwise each pair is drawn from its
     own derived stream. Without ``perms``, a base in ``EQUIVARIANT_METHODS``
     runs once on the unpermuted input, since its permutation average equals
-    that single run up to rounding, made by ``base_run`` when one is given.
+    that single run up to rounding, made by ``run_shared`` with ``shared``.
     A plain featurized-ridge ``Imputer`` fits every pair, drawn or given, in
     one shared solve; any other base runs once per pair. The diagnostics
     report ``n_perms`` either way.
@@ -103,11 +100,7 @@ def permutation_ensemble(
         "n_perms": n_perms,
     }
     if perms is None and imputer.method in EQUIVARIANT_METHODS:
-        impute_seed = seed.child("impute")
-        if base_run is None:
-            result = imputer.run(ds, impute_seed)
-        else:
-            result = base_run(imputer, ds, impute_seed)
+        result = run_shared(imputer, ds, seed.child("impute"), shared)
         return ImputationResult(result.completed, result.fitted_observed, diagnostics)
     if perms is None:
         perms = []
@@ -164,18 +157,18 @@ def blend(
     ds: MaskedDataset,
     spec: EnsembleSpec,
     seed: SeedSpec,
-    base_run: Optional[BaseRun] = None,
+    shared: Optional[dict] = None,
 ) -> ImputationResult:
     """Adaptively weighted average of two permutation-ensembled methods.
 
-    ``base_run`` is handed to ``permutation_ensemble`` for both bases.
+    ``shared`` is handed to ``permutation_ensemble`` for both bases.
     """
     base_a = make_imputer(spec.base_a)
     base_b = make_imputer(spec.base_b)
     res_a = permutation_ensemble(base_a, ds, spec.n_perms, seed.child("base-a"),
-                                 base_run=base_run)
+                                 shared=shared)
     res_b = permutation_ensemble(base_b, ds, spec.n_perms, seed.child("base-b"),
-                                 base_run=base_run)
+                                 shared=shared)
     obs = ds.mask.observed
     w = adaptive_weight(
         res_a.fitted_observed.values[obs],

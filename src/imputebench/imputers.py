@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "impute_ice",
     "impute_featurized_ridge",
     "make_imputer",
+    "run_shared",
 ]
 
 
@@ -82,7 +83,7 @@ def impute_col_mean(ds: MaskedDataset) -> ImputationResult:
     """Fill each missing entry with its column's observed mean."""
     means = _column_means(ds)
     filled = np.broadcast_to(means, ds.shape)
-    return _finish(ds, filled, np.array(filled), {"method": "col-mean"})
+    return _finish(ds, filled, filled, {"method": "col-mean"})
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +148,16 @@ def impute_knn(ds: MaskedDataset, k: int = 5) -> ImputationResult:
 # ---------------------------------------------------------------------------
 
 
+def _check_stop(max_iter: int, tol: float) -> None:
+    """Refuse a stop rule that cannot work as stated: fewer than one pass,
+    or a tol that is NaN (no change is ever below it), negative, or infinite
+    (every change is). tol = 0 runs the whole max_iter budget."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def _gram_eigh(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The singular values of w (length min(m, n), descending) and, in the
     same order, the eigenvectors of the Gram matrix of w's shorter side."""
@@ -205,8 +216,7 @@ def impute_soft(
     """
     if lam is not None and not lam >= 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    _check_stop(max_iter, tol)
     # w is every pass's filled matrix: its observed cells are written once,
     # here, and each pass writes only the missing ones.
     w = _mean_fill(ds)
@@ -300,8 +310,7 @@ def impute_ice(
     run stopped by max_iter shows how far it was from tol.
     """
     _check_penalty(ridge_lambda)
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    _check_stop(max_iter, tol)
     m, n = ds.shape
     obs = ds.mask.observed
     z = _mean_fill(ds)
@@ -446,18 +455,15 @@ class Imputer:
             object.__setattr__(self, "name", self.method)
 
     def run(
-        self,
-        ds: MaskedDataset,
-        seed: SeedSpec,
-        base_run: Optional[Callable[..., ImputationResult]] = None,
+        self, ds: MaskedDataset, seed: SeedSpec, shared: Optional[dict] = None
     ) -> ImputationResult:
-        """Impute ``ds``. ``base_run`` reaches only the ensemble, which runs
-        its equivariant base through it (see ``ensemble.permutation_ensemble``)."""
+        """Impute ``ds``. ``shared`` reaches only the ensemble, which runs its
+        equivariant bases through ``run_shared`` with it."""
         if self.method == "ensemble":
             # Lazy import: the ensembler builds on this registry.
             from .ensemble import blend
 
-            return blend(ds, EnsembleSpec(**self.params), seed, base_run)
+            return blend(ds, EnsembleSpec(**self.params), seed, shared)
         if self.method == "ice":
             return impute_ice(ds, **self.params, seed=seed)
         return _IMPUTERS[self.method](ds, **self.params)
@@ -466,3 +472,27 @@ class Imputer:
 def make_imputer(method: str, name: str = "", **params) -> Imputer:
     """Build a registry imputer, validating the method tag and parameters."""
     return Imputer(method=method, params=params, name=name)
+
+
+def run_shared(
+    imputer: Imputer, ds: MaskedDataset, seed: SeedSpec, shared: Optional[dict] = None
+) -> ImputationResult:
+    """``imputer.run(ds, seed)``, computing each seedless run once per
+    ``shared`` dict.
+
+    With ``shared`` (a bench group keeps one), a plain ``Imputer`` of a
+    method in ``EQUIVARIANT_METHODS`` runs once per input and set of params,
+    so a grid cell and an ensemble base that ask for the same run get the
+    same result. Any other plain ``Imputer`` gets ``shared`` to pass on. A
+    subclass may override ``run`` with other behaviour, and gets (ds, seed)
+    alone. A run that raises is not kept. The key holds ``id(ds)`` and the
+    entry holds ``ds``, so the id is not reused while the dict lives.
+    """
+    if shared is None or type(imputer) is not Imputer:
+        return imputer.run(ds, seed)
+    if imputer.method not in EQUIVARIANT_METHODS:
+        return imputer.run(ds, seed, shared)
+    key = (id(ds), imputer.method, tuple(sorted(imputer.params.items())))
+    if key not in shared:
+        shared[key] = (ds, imputer.run(ds, seed))
+    return shared[key][1]

@@ -557,6 +557,25 @@ def test_failed_seedless_run_is_not_shared(monkeypatch):
     assert len(calls) == 2
 
 
+def test_one_shared_dict_keeps_each_inputs_own_result(monkeypatch):
+    record = _lfm_record("d0", 22)
+    a, seed = _group_input(record, "mcar", 0, 23)
+    b, _ = _group_input(record, "self-masking", 0, 23)
+    calls = _count_soft_impute(monkeypatch)
+    shared = {}
+    soft = make_imputer("soft-impute")
+    for ds in (a, b, a, b):
+        got = imputers.run_shared(soft, ds, seed, shared)
+        assert got.completed.values.tobytes() == \
+            imputers.impute_soft(ds).completed.values.tobytes()
+    assert [id(ds) for ds in calls] == [id(a), id(b)]
+    # the ensemble's soft-impute base on b is b's own shared run
+    got = imputers.run_shared(make_imputer("ensemble"), b, seed, shared)
+    alone = blend(b, EnsembleSpec(), seed)
+    assert got.completed.values.tobytes() == alone.completed.values.tobytes()
+    assert len(calls) == 3  # the standalone blend's own soft-impute run
+
+
 # ---------------------------------------------------------------------------
 # BLAS threads and memory
 # ---------------------------------------------------------------------------

@@ -283,6 +283,22 @@ def test_mask_generated_flags_reach_the_sidecar(tmp_path):
         assert params.keys() == PATTERN_DEFAULTS[pattern].keys()
 
 
+def test_mask_sidecar_text_is_the_sorted_dump_with_lists(tmp_path):
+    data = _gen_dataset(tmp_path, rows=30, cols=8)
+    out = tmp_path / "nn.csv"
+    assert main(["mask", "--data", str(data), "--pattern", "nn-mnar", "--seed", "3",
+                 "--neighborhood-size-range", "2:4", "--out", str(out)]) == 0
+    mask = load_mask_csv(out)
+    params = {k: list(v) if isinstance(v, tuple) else v
+              for k, v in {**PATTERN_DEFAULTS["nn-mnar"],
+                           "neighborhood_size_range": (2, 4)}.items()}
+    want = json.dumps({"pattern": "nn-mnar", "seed": 3, "data": str(data),
+                       "shape": [30, 8], "params": params,
+                       "missing_fraction": mask.n_missing / mask.indicator.size},
+                      sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "nn.csv.json").read_text() == want
+
+
 def test_impute_flags_are_method_parameters():
     fixed = {"help", "data", "mask", "method", "out", "diagnostics", "seed"}
     flags = {a.dest for a in _subcommand("impute")._actions} - fixed
@@ -473,6 +489,8 @@ def test_impute_oversize_exits_two(tmp_path, capsys, monkeypatch):
     (["--method", "featurized-ridge", "--ridge-lambda", "0"],
      "featurized ridge needs ridge_lambda > 0: its normal equations are singular "
      "at 0 for every table"),
+    (["--method", "soft-impute", "--tol", "nan"], "tol must be finite and >= 0, got nan"),
+    (["--method", "ice", "--tol", "inf"], "tol must be finite and >= 0, got inf"),
 ])
 def test_impute_refuses_a_negative_or_nan_penalty(tmp_path, capsys, monkeypatch, flags,
                                                   message):

@@ -264,7 +264,7 @@ def _loop_average(imputer, ds, perms):
 class _CountingRidge(Imputer):
     calls = 0
 
-    def run(self, ds, seed, base_run=None):
+    def run(self, ds, seed, shared=None):
         type(self).calls += 1
         return super().run(ds, seed)
 

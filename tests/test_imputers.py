@@ -908,6 +908,20 @@ def test_featurized_ridge_needs_a_positive_penalty():
     make_imputer("ice", ridge_lambda=0.0).run(ds, SEED)
 
 
+@pytest.mark.parametrize("tag", ["soft-impute", "ice"])
+def test_stop_rule_refuses_a_tol_it_cannot_meet(tag):
+    ds = _random_ds(12, 5, 0.3, 55)
+    for tol in (float("nan"), -1.0, float("inf")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"tol must be finite and >= 0, got {tol}")):
+            make_imputer(tag, tol=tol).run(ds, SEED)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        make_imputer(tag, max_iter=0).run(ds, SEED)
+    # tol = 0 is a fixed budget: every pass runs and none claims convergence
+    diag = make_imputer(tag, tol=0.0, max_iter=7).run(ds, SEED).diagnostics
+    assert diag["iterations"] == 7 and diag["converged"] is False
+
+
 # ---------------------------------------------------------------------------
 # Shared invariants
 # ---------------------------------------------------------------------------
