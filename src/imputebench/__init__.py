@@ -12,12 +12,10 @@ from .core import (
     DegenerateMaskError,
     Mask,
     MaskedDataset,
-    PropensityMatrix,
     SeedSpec,
     ShapeMismatchError,
     apply_mask,
     missing_fraction,
-    sample_bernoulli_mask,
 )
 from .datagen import (
     Dirichlet,

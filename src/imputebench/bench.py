@@ -27,6 +27,7 @@ import os
 import threading
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
@@ -234,16 +235,13 @@ def discover_datasets(path: Union[str, Path]) -> list[DatasetRecord]:
 
 @dataclass(frozen=True)
 class ColumnStandardization:
-    """Per-column affine map (x - mean) / scale and its inverse."""
+    """Per-column affine map (x - mean) / scale."""
 
     mean: np.ndarray
     scale: np.ndarray
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.scale
-
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return values * self.scale + self.mean
 
 
 def standardize_observed(
@@ -357,7 +355,7 @@ def _run_group(
     group_seed = SeedSpec(run_seed, f"{dataset.name}/{pattern}/{replicate}")
     base = {"dataset": dataset.name, "pattern": pattern, "seed": replicate}
     try:
-        spec = PatternSpec(pattern, group_seed.child("mask"), dict(params))
+        spec = PatternSpec(pattern, group_seed.child("mask"), params)
         mask = generate(spec, dataset.matrix)
         if mask.n_missing == 0:
             raise ValueError("pattern produced no missing entries")
@@ -391,12 +389,7 @@ def _run_group(
             elapsed = time.perf_counter() - t0
             cell["error"] = f"{type(exc).__name__}: {exc}"
         cells.append(cell)
-        timings.append(
-            {
-                "seconds": elapsed,
-                "seconds_per_entry": elapsed / ds.observed.size,
-            }
-        )
+        timings.append({"seconds": elapsed})
     dropped = None
     if len(rmses) >= 2:
         acc = imputation_accuracy(rmses)
@@ -414,20 +407,21 @@ def _run_group(
 
 def _normalize_patterns(
     patterns: Sequence[Union[str, tuple[str, Mapping]]]
-) -> list[tuple[str, dict]]:
+) -> list[tuple[str, dict, dict]]:
+    """Each pattern as (tag, the caller's overrides, resolved params)."""
     out = []
     for entry in patterns:
         if isinstance(entry, str):
-            tag, params = entry, {}
+            tag, overrides = entry, {}
         else:
-            tag, params = entry[0], dict(entry[1])
-        resolved = resolve_params("pattern", tag, params, PATTERN_DEFAULTS)
-        if resolved.get("p_missing") == 0:
+            tag, overrides = entry[0], dict(entry[1])
+        params = resolve_params("pattern", tag, overrides, PATTERN_DEFAULTS)
+        if params.get("p_missing") == 0:
             raise ValueError(
                 f"pattern {tag!r} with p_missing=0 produces no missing entries"
             )
-        out.append((tag, params))
-    tags = [tag for tag, _ in out]
+        out.append((tag, overrides, params))
+    tags = [tag for tag, _, _ in out]
     if len(set(tags)) != len(tags):
         # duplicate tags would share group seed streams and report keys
         raise ValueError(f"pattern tags must be unique, got {tags}")
@@ -680,11 +674,11 @@ def run_benchmark(
     tasks = [
         (dataset, tag, params, replicate)
         for dataset in datasets
-        for tag, params in norm_patterns
+        for tag, _, params in norm_patterns
         for replicate in range(n_seeds)
     ]
-    resolved = [(t, resolve_params("pattern", t, p, PATTERN_DEFAULTS)) for t, p in norm_patterns]
-    refuse_oversize({d.name: d.matrix.shape for d in datasets}, resolved, methods,
+    refuse_oversize({d.name: d.matrix.shape for d in datasets},
+                    [(tag, params) for tag, _, params in norm_patterns], methods,
                     min(jobs, len(tasks)))
     with _ONE_BLAS_THREAD:
         if jobs == 1:
@@ -714,19 +708,23 @@ def run_benchmark(
     if dropped:
         warnings.warn(f"{len(dropped)} groups dropped; see report dropped_groups")
     if not cells:
-        raise ValueError("every group was dropped; nothing to aggregate")
+        reasons = Counter(d["reason"] for d in dropped)
+        listed = "; ".join(
+            f"{reason} ({n} group{'s' if n > 1 else ''})" for reason, n in reasons.items()
+        )
+        raise ValueError(f"every group was dropped; nothing to aggregate: {listed}")
 
     aggregates = _aggregate(cells, names)
     trajectory = None
     if adaptive_proportions:
-        trajectory = _proportion_trajectory(cells, [t for t, _ in norm_patterns],
+        trajectory = _proportion_trajectory(cells, [t for t, _, _ in norm_patterns],
                                             temperature)
     config = {
         "schema_version": SCHEMA_VERSION,
         "mask_stream": MASK_STREAM,
         "datasets": [d.name for d in datasets],
         "patterns": [
-            {"pattern": tag, "overrides": params} for tag, params in norm_patterns
+            {"pattern": tag, "overrides": overrides} for tag, overrides, _ in norm_patterns
         ],
         "methods": [
             {"name": m.name, "method": m.method,

@@ -159,7 +159,7 @@ def _cmd_mask(args) -> int:
     overrides = _given(args, PATTERN_DEFAULTS)
     spec = PatternSpec(args.pattern, SeedSpec(args.seed, args.pattern), overrides)
     bench_mod.refuse_oversize({record.name: record.matrix.shape},
-                              [(args.pattern, spec.resolved_params())], [])
+                              [(args.pattern, spec.params)], [])
     mask = generate(spec, record.matrix)
     bench_mod.save_mask_csv(mask, args.out)
     sidecar = Path(args.sidecar) if args.sidecar else Path(str(args.out) + ".json")
@@ -170,7 +170,7 @@ def _cmd_mask(args) -> int:
                 "seed": args.seed,
                 "data": str(args.data),
                 "shape": list(mask.shape),
-                "params": spec.resolved_params(),
+                "params": spec.params,
                 "missing_fraction": missing_fraction(mask),
             },
             sort_keys=True,

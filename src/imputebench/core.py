@@ -20,7 +20,6 @@ __all__ = [
     "DataMatrix",
     "Mask",
     "MaskedDataset",
-    "PropensityMatrix",
     "SeedSpec",
     "ShapeMismatchError",
     "DegenerateMaskError",
@@ -28,7 +27,6 @@ __all__ = [
     "bernoulli_mask",
     "missing_fraction",
     "resolve_params",
-    "sample_bernoulli_mask",
     "signature_defaults",
 ]
 
@@ -119,33 +117,6 @@ class Mask:
     def n_missing(self) -> int:
         return self.indicator.size - self.n_observed
 
-    def omega(self) -> np.ndarray:
-        """Missing index set as an (n_missing, 2) array of (row, col)."""
-        return np.argwhere(self.missing)
-
-    def omega_obs(self) -> np.ndarray:
-        """Observed index set as an (n_observed, 2) array of (row, col)."""
-        return np.argwhere(self.observed)
-
-
-@dataclass(frozen=True)
-class PropensityMatrix:
-    """Entrywise probability of being observed."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.p)
-        if arr.ndim != 2:
-            raise ValueError(f"propensities must be 2-D, got ndim={arr.ndim}")
-        if not np.all((arr >= 0.0) & (arr <= 1.0)):
-            raise ValueError("propensities must lie in [0, 1]")
-        object.__setattr__(self, "p", arr)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.p.shape
-
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -225,19 +196,15 @@ class MaskedDataset:
     def cols(self) -> int:
         return self.mask.shape[1]
 
-    def observed_values(self) -> np.ndarray:
-        """Observed entries as a 1-D vector in row-major cell order."""
-        return self.observed[self.mask.observed]
-
 
 def apply_mask(truth: DataMatrix, mask: Mask) -> MaskedDataset:
-    """Overlay a mask on a complete matrix, writing NaN into missing cells."""
+    """Overlay a mask on a complete matrix, writing NaN into missing cells.
+    A mask that hides every entry raises ``DegenerateMaskError`` (through
+    ``MaskedDataset``)."""
     if truth.shape != mask.shape:
         raise ShapeMismatchError(
             f"truth {truth.shape} does not match mask {mask.shape}"
         )
-    if mask.n_observed == 0:
-        raise DegenerateMaskError("mask hides every entry")
     observed = np.where(mask.observed, truth.values, np.nan)
     return MaskedDataset(mask=mask, observed=observed, truth=truth)
 
@@ -251,11 +218,6 @@ def bernoulli_mask(p_observed: np.ndarray, rng: np.random.Generator) -> Mask:
     """Each entry observed independently with its own propensity: one
     uniform draw per entry, in row-major order, observed below p."""
     return Mask((rng.random(p_observed.shape) < p_observed).astype(np.uint8))
-
-
-def sample_bernoulli_mask(p: PropensityMatrix, seed: SeedSpec) -> Mask:
-    """Draw each entry observed independently with its own propensity."""
-    return bernoulli_mask(p.p, seed.rng())
 
 
 def signature_defaults(fn: Callable) -> dict:

@@ -3,10 +3,10 @@
 Every generator maps (complete matrix, parameters, seed) to a Mask and is a
 pure function of those inputs. Mechanisms that target a missing rate
 calibrate a sigmoid intercept by bisection so the expected rate matches.
-The ``generate`` dispatcher resolves a PatternSpec, fills in the
-per-pattern defaults (the generator's own keyword defaults) for parameters
-the caller leaves out, and resamples a fresh stream when a degenerate (fully
-missing) mask comes out.
+A PatternSpec fills in the per-pattern defaults (the generator's own
+keyword defaults) for parameters the caller leaves out, and the
+``generate`` dispatcher runs its generator, resampling a fresh stream when
+a degenerate (fully missing) mask comes out.
 """
 
 from __future__ import annotations
@@ -834,18 +834,16 @@ def _bandit_means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PatternSpec:
-    """Names one mechanism plus its parameter overrides and seed."""
+    """A pattern tag and seed bound to resolved parameters: the pattern's
+    defaults overlaid with the overrides it is built with."""
 
     pattern: str
     seed: SeedSpec
     params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "params", dict(self.params))
-        self.resolved_params()
-
-    def resolved_params(self) -> dict:
-        return resolve_params("pattern", self.pattern, self.params, PATTERN_DEFAULTS)
+        params = resolve_params("pattern", self.pattern, self.params, PATTERN_DEFAULTS)
+        object.__setattr__(self, "params", params)
 
 
 # Tag order is PATTERN_TAGS order, the cell order of ``--patterns all``.
@@ -880,10 +878,9 @@ def generate(spec: PatternSpec, truth: DataMatrix) -> Mask:
     Up to 16 attempts are made, each on a freshly derived stream; identical
     spec and seed always reproduce the same mask.
     """
-    params = spec.resolved_params()
     for attempt in range(MAX_RESAMPLE_ATTEMPTS):
         seed = spec.seed if attempt == 0 else spec.seed.child(f"retry{attempt}")
-        mask = _GENERATORS[spec.pattern](truth, **params, seed=seed)
+        mask = _GENERATORS[spec.pattern](truth, **spec.params, seed=seed)
         if mask.n_observed > 0:
             return mask
     raise DegenerateMaskError(

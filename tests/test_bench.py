@@ -30,7 +30,7 @@ from imputebench.bench import (
     save_mask_csv,
     standardize_observed,
 )
-from imputebench.core import DataMatrix, Mask, SeedSpec, apply_mask
+from imputebench.core import DataMatrix, Mask, SeedSpec, apply_mask, resolve_params
 from imputebench.datagen import LfmSpec, sample_lfm
 from imputebench.ensemble import EnsembleSpec, blend
 from imputebench.featurize import featurized_ridge_peak_bytes
@@ -243,7 +243,7 @@ def test_standardize_moves_truth_through_same_map():
         col = out.observed[obs[:, j], j]
         assert abs(col.mean()) < 1e-10
         assert abs(col.var() - 1.0) < 1e-8
-    assert np.allclose(params.invert(out.truth.values), truth, atol=1e-10)
+    assert np.allclose(out.truth.values * params.scale + params.mean, truth, atol=1e-10)
 
 
 def _standardize_two_masks(ds):
@@ -431,6 +431,42 @@ def test_group_dropped_when_fewer_than_two_methods_survive():
         with pytest.raises(ValueError):
             # both groups lose their only comparison partner -> nothing left
             run_benchmark(datasets, ["mcar"], methods, n_seeds=1, seed=12)
+
+
+def test_every_group_dropped_names_each_reason_and_its_count():
+    datasets = [_lfm_record("d0", 7, n=1, k=1)]
+    methods = [make_imputer("col-mean"), make_imputer("knn")]
+    with pytest.warns(UserWarning):
+        with pytest.raises(ValueError) as exc:
+            run_benchmark(datasets, ["panel", "two-phase"], methods, n_seeds=2)
+    assert str(exc.value) == (
+        "every group was dropped; nothing to aggregate: "
+        "mask generation failed: panel dropout needs at least 2 columns (2 groups); "
+        "mask generation failed: two-phase needs at least 2 columns (2 groups)"
+    )
+    with pytest.warns(UserWarning):
+        with pytest.raises(ValueError, match=r"got 1\.5 \(1 group\)$"):
+            run_benchmark([_lfm_record("d0", 7)], [("mcar", {"p_missing": 1.5})],
+                          methods, n_seeds=1)
+
+
+def test_a_grid_resolves_each_pattern_once_and_each_group_once(monkeypatch):
+    from imputebench import missingness
+
+    calls = []
+
+    def counted(kind, tag, params, defaults):
+        calls.append((kind, tag))
+        return resolve_params(kind, tag, params, defaults)
+
+    monkeypatch.setattr(bench, "resolve_params", counted)
+    monkeypatch.setattr(missingness, "resolve_params", counted)
+    datasets = [_lfm_record("d0", 3), _lfm_record("d1", 4)]
+    methods = [make_imputer("col-mean"), make_imputer("soft-impute")]
+    run_benchmark(datasets, ["mcar", ("block", {"n_col_blocks": 4})], methods, n_seeds=2)
+    # 2 patterns in the grid, then 2 datasets x 2 patterns x 2 replicates
+    assert calls.count(("pattern", "mcar")) == calls.count(("pattern", "block")) == 1 + 4
+    assert len(calls) == 10
 
 
 def test_failed_method_excluded_from_normalization():

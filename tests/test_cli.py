@@ -527,6 +527,23 @@ def test_bench_partial_failure_exits_three(tmp_path, capsys):
     assert {c["pattern"] for c in doc["cells"]} == {"mcar"}
 
 
+def test_bench_with_every_group_dropped_names_the_reasons(tmp_path, capsys):
+    data_dir = tmp_path / "datasets"
+    data_dir.mkdir()
+    _gen_dataset(data_dir, name="one.csv", rows=30, cols=1, rank=1)
+    out_dir = tmp_path / "run"
+    with pytest.warns(UserWarning):
+        code = main([
+            "bench", "--datasets", str(data_dir), "--patterns", "panel,two-phase",
+            "--methods", "col-mean,knn", "--seeds", "1", "--out", str(out_dir),
+        ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "panel dropout needs at least 2 columns (1 group)" in err
+    assert "two-phase needs at least 2 columns (1 group)" in err
+    assert not out_dir.exists()
+
+
 def test_report_rerenders_table(tmp_path, capsys):
     data_dir = tmp_path / "datasets"
     data_dir.mkdir()

@@ -8,13 +8,11 @@ from imputebench.core import (
     DegenerateMaskError,
     Mask,
     MaskedDataset,
-    PropensityMatrix,
     SeedSpec,
     ShapeMismatchError,
     apply_mask,
     bernoulli_mask,
     missing_fraction,
-    sample_bernoulli_mask,
 )
 
 
@@ -41,8 +39,8 @@ def test_arrays_are_frozen():
 def test_mask_validation_and_index_sets():
     mask = Mask([[1, 0], [0, 1]])
     assert mask.n_observed == 2 and mask.n_missing == 2
-    assert [tuple(rc) for rc in mask.omega()] == [(0, 1), (1, 0)]
-    assert [tuple(rc) for rc in mask.omega_obs()] == [(0, 0), (1, 1)]
+    assert [tuple(rc) for rc in np.argwhere(mask.missing)] == [(0, 1), (1, 0)]
+    assert [tuple(rc) for rc in np.argwhere(mask.observed)] == [(0, 0), (1, 1)]
     with pytest.raises(ValueError):
         Mask([[1, 2]])
 
@@ -61,19 +59,11 @@ def test_mask_accepts_zero_one_in_any_numeric_or_bool_dtype():
         assert np.array_equal(mask.indicator, want)
 
 
-def test_propensity_range_enforced():
-    PropensityMatrix([[0.0, 1.0]])
-    with pytest.raises(ValueError):
-        PropensityMatrix([[1.2]])
-    with pytest.raises(ValueError):
-        PropensityMatrix([[-0.1]])
-
-
 def test_apply_mask_identity_on_all_ones():
     truth = DataMatrix([[1.0, 2.0], [3.0, 4.0]])
     ds = apply_mask(truth, Mask(np.ones((2, 2))))
     assert np.array_equal(ds.observed, truth.values)
-    assert ds.mask.omega().size == 0
+    assert ds.mask.n_missing == 0
 
 
 def test_apply_mask_places_sentinels():
@@ -81,7 +71,7 @@ def test_apply_mask_places_sentinels():
     ds = apply_mask(truth, Mask([[1, 0], [0, 1]]))
     assert ds.observed[0, 0] == 1.0 and ds.observed[1, 1] == 4.0
     assert np.isnan(ds.observed[0, 1]) and np.isnan(ds.observed[1, 0])
-    assert [tuple(rc) for rc in ds.mask.omega()] == [(0, 1), (1, 0)]
+    assert [tuple(rc) for rc in np.argwhere(ds.mask.missing)] == [(0, 1), (1, 0)]
 
 
 def test_apply_mask_random_instance_against_loop():
@@ -106,7 +96,7 @@ def test_apply_mask_errors():
     truth = DataMatrix([[1.0, 2.0]])
     with pytest.raises(ShapeMismatchError):
         apply_mask(truth, Mask([[1], [0]]))
-    with pytest.raises(DegenerateMaskError):
+    with pytest.raises(DegenerateMaskError, match="no observed entries"):
         apply_mask(truth, Mask([[0, 0]]))
 
 
@@ -126,7 +116,7 @@ def test_masked_dataset_cross_checks():
     with pytest.raises(ValueError, match="^observed cells must not be NaN$"):
         MaskedDataset(mask=mask, observed=np.array([[np.nan, 2.0]]))
     ds = MaskedDataset(mask=mask, observed=np.array([[1.0, np.nan]]))
-    assert ds.truth is None and ds.observed_values().tolist() == [1.0]
+    assert ds.truth is None and ds.observed[ds.mask.observed].tolist() == [1.0]
 
 
 def test_missing_fraction_counting():
@@ -139,8 +129,8 @@ def test_missing_fraction_counting():
 
 def test_bernoulli_mask_degenerate_propensities():
     seed = SeedSpec(3, "bern")
-    ones = sample_bernoulli_mask(PropensityMatrix(np.ones((4, 5))), seed)
-    zeros = sample_bernoulli_mask(PropensityMatrix(np.zeros((4, 5))), seed)
+    ones = bernoulli_mask(np.ones((4, 5)), seed.rng())
+    zeros = bernoulli_mask(np.zeros((4, 5)), seed.rng())
     assert ones.n_observed == 20
     assert zeros.n_observed == 0
 
@@ -148,17 +138,16 @@ def test_bernoulli_mask_degenerate_propensities():
 def test_bernoulli_mask_rate_concentrates():
     # binomial bound: at p=0.6 over 30 seeds of 200x50 draws the standard
     # error of the mean observed fraction is ~0.0009, so +-0.02 is ~20 sigma
-    p = PropensityMatrix(np.full((200, 50), 0.6))
+    p = np.full((200, 50), 0.6)
     fracs = [
-        sample_bernoulli_mask(p, SeedSpec(s, "conc")).n_observed / 10_000
+        bernoulli_mask(p, SeedSpec(s, "conc").rng()).n_observed / 10_000
         for s in range(30)
     ]
     assert 0.58 <= np.mean(fracs) <= 0.62
 
 
 def test_missing_fraction_concentrates_at_scale():
-    p = PropensityMatrix(np.full((100, 100), 0.7))
-    mask = sample_bernoulli_mask(p, SeedSpec(11, "conc-large"))
+    mask = bernoulli_mask(np.full((100, 100), 0.7), SeedSpec(11, "conc-large").rng())
     assert abs(missing_fraction(mask) - 0.3) <= 0.02
 
 
@@ -213,23 +202,21 @@ def test_seedspec_streams_survive_hash_randomization():
 
 
 def test_bernoulli_mask_bit_identical_given_seed():
-    p = PropensityMatrix(np.full((17, 13), 0.5))
+    p = np.full((17, 13), 0.5)
     seed = SeedSpec(123, "det")
-    m1 = sample_bernoulli_mask(p, seed)
-    m2 = sample_bernoulli_mask(p, seed)
+    m1 = bernoulli_mask(p, seed.rng())
+    m2 = bernoulli_mask(p, seed.rng())
     assert m1.indicator.tobytes() == m2.indicator.tobytes()
 
 
 def test_bernoulli_rule_draws_one_uniform_per_entry_in_row_major_order():
-    # the rule the generators and sample_bernoulli_mask share
+    # the rule every Bernoulli generator draws through
     p = np.random.default_rng(3).random((6, 7))
     seed = SeedSpec(4, "rule")
     rng = seed.rng()
     got = bernoulli_mask(p, rng)
     u = seed.rng().random(p.size).reshape(p.shape)
     assert got.indicator.tobytes() == (u < p).astype(np.uint8).tobytes()
-    sampled = sample_bernoulli_mask(PropensityMatrix(p), seed)
-    assert got.indicator.tobytes() == sampled.indicator.tobytes()
     assert rng.random() == seed.rng().random(p.size + 1)[-1]  # one draw per entry
 
 

@@ -1366,6 +1366,12 @@ def test_seq_mask_is_pinned_for_every_algorithm_and_pooling(m, n, seed):
     assert got == PINNED_SEQ_DIGESTS[m, n, seed]
 
 
+def test_pattern_spec_holds_resolved_params():
+    assert mg.PatternSpec("mcar", SeedSpec(0, "x")).params == mg.PATTERN_DEFAULTS["mcar"]
+    spec = mg.PatternSpec("block", SeedSpec(0, "x"), {"n_col_blocks": 5})
+    assert spec.params == {**mg.PATTERN_DEFAULTS["block"], "n_col_blocks": 5}
+
+
 def test_pattern_spec_rejects_unknown_tags_and_params():
     with pytest.raises(ValueError):
         mg.PatternSpec("mar", SeedSpec(0, "x"))
