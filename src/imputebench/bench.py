@@ -36,18 +36,12 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import DataMatrix, Mask, MaskedDataset, SeedSpec, apply_mask, resolve_params
+from .core import DataMatrix, Mask, MaskedDataset, SeedSpec, apply_mask
 from .featurize import featurized_ridge_peak_bytes
 from .imputers import Imputer, knn_peak_bytes, run_shared
-from .missingness import (
-    MASK_STREAM,
-    PATTERN_DEFAULTS,
-    PatternSpec,
-    generate,
-    nn_mnar_peak_bytes,
-)
+from .missingness import MASK_STREAM, PatternSpec, generate, nn_mnar_peak_bytes
+from .scheduler import ProportionState, uniform_state
 from .scheduler import step as scheduler_step
-from .scheduler import uniform_state
 
 __all__ = [
     "BenchReport",
@@ -346,17 +340,16 @@ class _GroupResult:
 
 def _run_group(
     dataset: DatasetRecord,
-    pattern: str,
-    params: Mapping,
+    spec: PatternSpec,
     replicate: int,
     run_seed: int,
     methods: Sequence[Imputer],
 ) -> _GroupResult:
+    pattern = spec.pattern
     group_seed = SeedSpec(run_seed, f"{dataset.name}/{pattern}/{replicate}")
     base = {"dataset": dataset.name, "pattern": pattern, "seed": replicate}
     try:
-        spec = PatternSpec(pattern, group_seed.child("mask"), params)
-        mask = generate(spec, dataset.matrix)
+        mask = generate(replace(spec, seed=group_seed.child("mask")), dataset.matrix)
         if mask.n_missing == 0:
             raise ValueError("pattern produced no missing entries")
         masked = apply_mask(dataset.matrix, mask)
@@ -406,22 +399,25 @@ def _run_group(
 
 
 def _normalize_patterns(
-    patterns: Sequence[Union[str, tuple[str, Mapping]]]
-) -> list[tuple[str, dict, dict]]:
-    """Each pattern as (tag, the caller's overrides, resolved params)."""
+    patterns: Sequence[Union[str, tuple[str, Mapping]]], seed: int
+) -> list[tuple[PatternSpec, dict]]:
+    """Each pattern as its PatternSpec, which checks its parameters, and the
+    caller's overrides. Each group runs the spec on its own seed."""
     out = []
     for entry in patterns:
         if isinstance(entry, str):
             tag, overrides = entry, {}
         else:
             tag, overrides = entry[0], dict(entry[1])
-        params = resolve_params("pattern", tag, overrides, PATTERN_DEFAULTS)
-        if params.get("p_missing") == 0:
+        spec = PatternSpec(tag, SeedSpec(seed, tag), overrides)
+        # mcar is the one generator that accepts a zero rate, and then masks
+        # nothing; seq's p_missing is an exploration probability
+        if tag == "mcar" and spec.params["p_missing"] == 0:
             raise ValueError(
                 f"pattern {tag!r} with p_missing=0 produces no missing entries"
             )
-        out.append((tag, overrides, params))
-    tags = [tag for tag, _, _ in out]
+        out.append((spec, overrides))
+    tags = [spec.pattern for spec, _ in out]
     if len(set(tags)) != len(tags):
         # duplicate tags would share group seed streams and report keys
         raise ValueError(f"pattern tags must be unique, got {tags}")
@@ -579,7 +575,7 @@ def _physical_memory() -> Optional[int]:
 
 def refuse_oversize(
     shapes: Mapping[str, tuple[int, int]],
-    patterns: Sequence[tuple[str, Mapping]],
+    patterns: Sequence[PatternSpec],
     methods: Sequence[Imputer],
     at_once: int = 1,
 ) -> None:
@@ -587,8 +583,7 @@ def refuse_oversize(
     dataset that needs the most, ``at_once`` groups side by side, exceeds the
     memory the process may use (``_physical_memory``).
 
-    ``shapes`` maps each dataset name to its (rows, cols) and ``patterns``
-    holds (tag, resolved params) pairs. The bounded needs are knn's m x m
+    ``shapes`` maps each dataset name to its (rows, cols). The bounded needs are knn's m x m
     arrays (``knn_peak_bytes``) and featurized ridge's normal equations
     (``featurized_ridge_peak_bytes``), as a method or as an ensemble base,
     and nn-mnar's neighborhood arrays at the upper ends of its resolved
@@ -605,13 +600,12 @@ def refuse_oversize(
                 knn.append((who, "knn row distances", lambda m, n: knn_peak_bytes(m)))
             elif run.method == "featurized-ridge":
                 ridge.append((who, "featurized ridge normal equations",
-                              partial(featurized_ridge_peak_bytes,
-                                      ridge_lambda=run.params["ridge_lambda"])))
+                              featurized_ridge_peak_bytes))
     nn_mnar = [
-        (f"pattern {tag!r}", "neighborhood arrays",
-         partial(nn_mnar_peak_bytes, size_hi=params["neighborhood_size_range"][1],
-                 width_hi=params["width_range"][1]))
-        for tag, params in patterns if tag == "nn-mnar"
+        (f"pattern {spec.pattern!r}", "neighborhood arrays",
+         partial(nn_mnar_peak_bytes, size_hi=spec.params["neighborhood_size_range"][1],
+                 width_hi=spec.params["width_range"][1]))
+        for spec in patterns if spec.pattern == "nn-mnar"
     ]
     budget = _physical_memory()
     for who, what, peak in knn + ridge + nn_mnar:
@@ -648,7 +642,10 @@ def run_benchmark(
     A BLAS without that setter keeps its own count, as before. The setting
     is process-wide, so the host program's other threads also see one BLAS
     thread while the grid runs. A grid that would not fit in memory with
-    ``jobs`` groups at once is refused up front (``refuse_oversize``).
+    ``jobs`` groups at once is refused up front (``refuse_oversize``), as is
+    a bad parameter: ``Imputer`` checks a method's when it is built, and the
+    grid builds each pattern's ``PatternSpec``, which checks it, before any
+    group runs.
     """
     if not datasets:
         raise ValueError("need at least one dataset")
@@ -667,34 +664,29 @@ def run_benchmark(
         raise ValueError("n_seeds must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    norm_patterns = _normalize_patterns(patterns)
+    norm_patterns = _normalize_patterns(patterns, seed)
+    specs = [spec for spec, _ in norm_patterns]
+    # built before any group runs, so a bad temperature is refused up front
+    start = uniform_state([spec.pattern for spec in specs], period=50,
+                          temperature=temperature)
 
     tasks = [
-        (dataset, tag, params, replicate)
+        (dataset, spec, replicate)
         for dataset in datasets
-        for tag, _, params in norm_patterns
+        for spec in specs
         for replicate in range(n_seeds)
     ]
-    refuse_oversize({d.name: d.matrix.shape for d in datasets},
-                    [(tag, params) for tag, _, params in norm_patterns], methods,
+    refuse_oversize({d.name: d.matrix.shape for d in datasets}, specs, methods,
                     min(jobs, len(tasks)))
     with _ONE_BLAS_THREAD:
         if jobs == 1:
-            results = [
-                _run_group(d, tag, params, rep, seed, methods)
-                for d, tag, params, rep in tasks
-            ]
+            results = [_run_group(*task, seed, methods) for task in tasks]
         else:
             with ThreadPoolExecutor(
                 max_workers=jobs, initializer=_ONE_BLAS_THREAD.pin_this_thread
             ) as pool:
                 results = list(
-                    pool.map(
-                        lambda t: _run_group(t[0], t[1], t[2], t[3], seed, methods),
-                        tasks,
-                    )
+                    pool.map(lambda task: _run_group(*task, seed, methods), tasks)
                 )
 
     cells, timings, dropped = [], [], []
@@ -705,26 +697,26 @@ def run_benchmark(
             dropped.append(res.dropped)
     for index, timing in enumerate(timings):
         timing["index"] = index
-    if dropped:
-        warnings.warn(f"{len(dropped)} groups dropped; see report dropped_groups")
     if not cells:
         reasons = Counter(d["reason"] for d in dropped)
         listed = "; ".join(
             f"{reason} ({n} group{'s' if n > 1 else ''})" for reason, n in reasons.items()
         )
         raise ValueError(f"every group was dropped; nothing to aggregate: {listed}")
+    if dropped:
+        warnings.warn(f"{len(dropped)} groups dropped; see report dropped_groups")
 
     aggregates = _aggregate(cells, names)
     trajectory = None
     if adaptive_proportions:
-        trajectory = _proportion_trajectory(cells, [t for t, _, _ in norm_patterns],
-                                            temperature)
+        trajectory = _proportion_trajectory(cells, start)
     config = {
         "schema_version": SCHEMA_VERSION,
         "mask_stream": MASK_STREAM,
         "datasets": [d.name for d in datasets],
         "patterns": [
-            {"pattern": tag, "overrides": overrides} for tag, overrides, _ in norm_patterns
+            {"pattern": spec.pattern, "overrides": overrides}
+            for spec, overrides in norm_patterns
         ],
         "methods": [
             {"name": m.name, "method": m.method,
@@ -744,18 +736,15 @@ def run_benchmark(
     )
 
 
-def _proportion_trajectory(
-    cells: Sequence[dict], patterns: Sequence[str], temperature: float
-) -> list[dict]:
-    """The proportion scheduler driven by the grid's per-pattern mean RMSE:
-    the uniform start (step 0) and the refreshes at steps 50 and 100. The
-    losses are constant, so one refresh gives both, and the steps between
-    refreshes leave the proportions as they are."""
+def _proportion_trajectory(cells: Sequence[dict], start: ProportionState) -> list[dict]:
+    """The proportion scheduler, from its uniform ``start``, driven by the
+    grid's per-pattern mean RMSE: the start (step 0) and the refreshes at
+    steps 50 and 100. The losses are constant, so one refresh gives both,
+    and the steps between refreshes leave the proportions as they are."""
     mean_rmse = {}
-    for tag in patterns:
+    for tag in start.patterns:
         vals = [c["rmse"] for c in cells if c["pattern"] == tag and c["rmse"] is not None]
         mean_rmse[tag] = float(np.mean(vals)) if vals else 0.0
-    start = uniform_state(patterns, period=50, temperature=temperature)
     refreshed = scheduler_step(
         replace(start, step_count=start.period - 1), lambda tag: mean_rmse[tag]
     )

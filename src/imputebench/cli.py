@@ -158,8 +158,7 @@ def _cmd_mask(args) -> int:
     record = bench_mod.load_csv(args.data)
     overrides = _given(args, PATTERN_DEFAULTS)
     spec = PatternSpec(args.pattern, SeedSpec(args.seed, args.pattern), overrides)
-    bench_mod.refuse_oversize({record.name: record.matrix.shape},
-                              [(args.pattern, spec.params)], [])
+    bench_mod.refuse_oversize({record.name: record.matrix.shape}, [spec], [])
     mask = generate(spec, record.matrix)
     bench_mod.save_mask_csv(mask, args.out)
     sidecar = Path(args.sidecar) if args.sidecar else Path(str(args.out) + ".json")

@@ -35,7 +35,9 @@ from .imputers import (
     EnsembleSpec,
     ImputationResult,
     Imputer,
+    _check_n_perms,
     _featurized_ridge_fit,
+    _finish,
     make_imputer,
     run_shared,
 )
@@ -79,8 +81,7 @@ def permutation_ensemble(
     one shared solve; any other base runs once per pair. The diagnostics
     report ``n_perms`` either way.
     """
-    if n_perms < 1:
-        raise ValueError(f"n_perms must be >= 1, got {n_perms}")
+    _check_n_perms(n_perms)
     m, n = ds.shape
     if perms is not None:
         if len(perms) != n_perms:
@@ -121,11 +122,7 @@ def permutation_ensemble(
             completed += result.completed.values[inv_rows][:, inv_cols]
             fitted += result.fitted_observed.values[inv_rows][:, inv_cols]
         completed, fitted = completed / n_perms, fitted / n_perms
-    return ImputationResult(
-        DataMatrix(np.where(ds.mask.observed, ds.observed, completed)),
-        DataMatrix(fitted),
-        diagnostics,
-    )
+    return _finish(ds, completed, fitted, diagnostics)
 
 
 DEGENERATE_TOL = 1e-12  # adaptive_weight's 0.5 fallback below this denominator
@@ -184,8 +181,4 @@ def blend(
         "base_b": spec.base_b,
         "n_perms": spec.n_perms,
     }
-    return ImputationResult(
-        DataMatrix(np.where(obs, ds.observed, completed)),
-        DataMatrix(fitted),
-        diagnostics,
-    )
+    return _finish(ds, completed, fitted, diagnostics)

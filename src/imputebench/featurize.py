@@ -170,16 +170,14 @@ def _check_ridge_penalty(ridge_lambda: float) -> None:
                          "equations are singular at 0 for every table")
 
 
-def featurized_ridge_peak_bytes(m: int, n: int, ridge_lambda: float) -> int:
+def featurized_ridge_peak_bytes(m: int, n: int) -> int:
     """Bytes that ``_ridge_fit_predict`` holds at once on an m x n matrix,
     from the shape alone: the p x p shared Gram block with its solver copies
     (32 bytes per entry) and the side blocks and their intermediates (128
     bytes per cell), where p = min(m, 2n) + min(n, 2m). Under tracemalloc
     the fit, plain or averaged over four assignments, peaks at 0.34-0.83 of
     it from 20 x 6 to 3000 x 20, 600 x 600 and 1000 x 400; on smaller tables
-    a few KiB of fixed overhead can exceed it. A penalty the fit would
-    refuse is refused here too, so a memory check fails as the fit would."""
-    _check_ridge_penalty(ridge_lambda)
+    a few KiB of fixed overhead can exceed it."""
     p = min(m, 2 * n) + min(n, 2 * m)
     return 32 * p * p + 128 * m * n
 

@@ -16,7 +16,13 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .core import DataMatrix, MaskedDataset, SeedSpec, resolve_params, signature_defaults
-from .featurize import _check_penalty, _ridge_fit_predict, _solve, build_features
+from .featurize import (
+    _check_penalty,
+    _check_ridge_penalty,
+    _ridge_fit_predict,
+    _solve,
+    build_features,
+)
 
 __all__ = [
     "EQUIVARIANT_METHODS",
@@ -116,12 +122,16 @@ def knn_peak_bytes(m: int) -> int:
     return 5 * 8 * m * m
 
 
+def _check_knn(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 def impute_knn(ds: MaskedDataset, k: int = 5) -> ImputationResult:
     """Each cell is predicted by the mean of that column over the k nearest
     rows (by masked distance) that observe the column; the column mean is
     the fallback when no such neighbor exists."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_knn(k)
     m, n = ds.shape
     if k > m - 1:
         warnings.warn(f"k={k} exceeds the {m - 1} candidate rows; clamping")
@@ -156,6 +166,14 @@ def _check_stop(max_iter: int, tol: float) -> None:
         raise ValueError("max_iter must be >= 1")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
+def _check_soft(lam: Optional[float], max_iter: int, tol: float) -> None:
+    """Refuse a shrinkage lam that is given and not >= 0, NaN included, and
+    a stop rule ``_check_stop`` refuses."""
+    if lam is not None and not lam >= 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    _check_stop(max_iter, tol)
 
 
 def _gram_eigh(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,9 +232,7 @@ def impute_soft(
     shorter side (``_gram_eigh`` and ``_shrink``), which agrees with a thin
     SVD to about 1e-14 of the largest entry.
     """
-    if lam is not None and not lam >= 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    _check_stop(max_iter, tol)
+    _check_soft(lam, max_iter, tol)
     # w is every pass's filled matrix: its observed cells are written once,
     # here, and each pass writes only the missing ones.
     w = _mean_fill(ds)
@@ -292,6 +308,11 @@ def impute_soft(
 # ---------------------------------------------------------------------------
 
 
+def _check_ice(max_iter: int, tol: float, ridge_lambda: float) -> None:
+    _check_penalty(ridge_lambda)
+    _check_stop(max_iter, tol)
+
+
 def impute_ice(
     ds: MaskedDataset,
     max_iter: int = 200,
@@ -309,8 +330,7 @@ def impute_ice(
     the last sweep's largest update (0.0 when no column needs one), so a
     run stopped by max_iter shows how far it was from tol.
     """
-    _check_penalty(ridge_lambda)
-    _check_stop(max_iter, tol)
+    _check_ice(max_iter, tol, ridge_lambda)
     m, n = ds.shape
     obs = ds.mask.observed
     z = _mean_fill(ds)
@@ -401,6 +421,11 @@ def impute_featurized_ridge(
 # ---------------------------------------------------------------------------
 
 
+def _check_n_perms(n_perms: int) -> None:
+    if n_perms < 1:
+        raise ValueError(f"n_perms must be >= 1, got {n_perms}")
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Names the two base methods and the permutation count."""
@@ -410,8 +435,7 @@ class EnsembleSpec:
     n_perms: int = 4
 
     def __post_init__(self):
-        if self.n_perms < 1:
-            raise ValueError(f"n_perms must be >= 1, got {self.n_perms}")
+        _check_n_perms(self.n_perms)
 
 
 # Tag order is METHOD_TAGS order; the ensemble, which builds on the others, is last.
@@ -432,6 +456,17 @@ METHOD_DEFAULTS: dict[str, dict] = {
 
 METHOD_TAGS = tuple(METHOD_DEFAULTS)
 
+# Each method's check of the parameters it can judge without the table, by
+# name; its imputer calls it first (the ensemble's is EnsembleSpec's own).
+# col-mean has no parameter.
+_CHECKS = {
+    "knn": _check_knn,
+    "soft-impute": _check_soft,
+    "ice": _check_ice,
+    "featurized-ridge": _check_ridge_penalty,
+    "ensemble": EnsembleSpec,
+}
+
 # Methods whose result commutes with row and column permutations of the input.
 # Left out: featurized-ridge (z-scored index features move it by ~6e-3; the
 # ensemble averages its permutations in one shared solve instead, see
@@ -442,7 +477,8 @@ EQUIVARIANT_METHODS = frozenset({"col-mean", "soft-impute"})
 
 @dataclass(frozen=True)
 class Imputer:
-    """A method tag bound to resolved hyperparameters."""
+    """A method tag bound to resolved hyperparameters, checked when built
+    by the method's own check, so a bad one is refused before any run."""
 
     method: str
     params: Mapping[str, object] = field(default_factory=dict)
@@ -450,6 +486,8 @@ class Imputer:
 
     def __post_init__(self):
         params = resolve_params("method", self.method, self.params, METHOD_DEFAULTS)
+        if self.method in _CHECKS:
+            _CHECKS[self.method](**params)
         object.__setattr__(self, "params", params)
         if not self.name:
             object.__setattr__(self, "name", self.method)

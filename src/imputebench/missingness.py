@@ -3,10 +3,13 @@
 Every generator maps (complete matrix, parameters, seed) to a Mask and is a
 pure function of those inputs. Mechanisms that target a missing rate
 calibrate a sigmoid intercept by bisection so the expected rate matches.
-A PatternSpec fills in the per-pattern defaults (the generator's own
-keyword defaults) for parameters the caller leaves out, and the
-``generate`` dispatcher runs its generator, resampling a fresh stream when
-a degenerate (fully missing) mask comes out.
+Each generator first runs its pattern's check of the parameters it can
+judge without the table; rules that need the table (column counts, column
+indices, the block grid) come after. A PatternSpec fills in the per-pattern
+defaults (the generator's own keyword defaults) for parameters the caller
+leaves out and runs the same check, so a bad parameter is refused when the
+spec is built. The ``generate`` dispatcher runs its generator, resampling a
+fresh stream when a degenerate (fully missing) mask comes out.
 """
 
 from __future__ import annotations
@@ -130,6 +133,12 @@ def _calibrate_rows(logits: np.ndarray, target_mean: float,
     raise CalibrationError("bisection failed to reach the requested tolerance")
 
 
+def _check_p_missing(p_missing: float) -> None:
+    """Refuse a target missing rate outside (0, 1), NaN included."""
+    if not 0.0 < p_missing < 1.0:
+        raise ValueError(f"p_missing must be in (0, 1), got {p_missing}")
+
+
 def _zscore(x: np.ndarray) -> np.ndarray:
     """Population z-score; a zero-spread vector maps to all zeros."""
     centered = x - x.mean()
@@ -153,10 +162,14 @@ def _quantile(sorted_values: np.ndarray, q: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def gen_mcar(truth: DataMatrix, p_missing: float = 0.4, *, seed: SeedSpec) -> Mask:
-    """Each entry missing independently with the same probability."""
+def _check_mcar(p_missing: float) -> None:
     if not 0.0 <= p_missing < 1.0:
         raise ValueError(f"p_missing must be in [0, 1), got {p_missing}")
+
+
+def gen_mcar(truth: DataMatrix, p_missing: float = 0.4, *, seed: SeedSpec) -> Mask:
+    """Each entry missing independently with the same probability."""
+    _check_mcar(p_missing)
     rng = seed.rng()
     p_obs = np.full(truth.shape, 1.0 - p_missing)
     return bernoulli_mask(p_obs, rng)
@@ -192,6 +205,14 @@ def _col_mar_design(values: np.ndarray, p_missing: float, predictor_fraction: fl
     return predictors, masked_cols, weights, intercepts, p_miss
 
 
+def _check_col_mar(p_missing: float, predictor_fraction: float) -> None:
+    _check_p_missing(p_missing)
+    if not 0.0 < predictor_fraction < 1.0:
+        raise ValueError(
+            f"predictor_fraction must be in (0, 1), got {predictor_fraction}"
+        )
+
+
 def gen_col_mar(
     truth: DataMatrix,
     p_missing: float = 0.4,
@@ -205,14 +226,9 @@ def gen_col_mar(
     combination of the predictor values, with the intercept calibrated so the
     column's expected missing fraction equals ``p_missing``.
     """
+    _check_col_mar(p_missing, predictor_fraction)
     if truth.cols < 2:
         raise ValueError("need at least 2 columns")
-    if not 0.0 < p_missing < 1.0:
-        raise ValueError(f"p_missing must be in (0, 1), got {p_missing}")
-    if not 0.0 < predictor_fraction < 1.0:
-        raise ValueError(
-            f"predictor_fraction must be in (0, 1), got {predictor_fraction}"
-        )
     rng = seed.rng()
     _, masked_cols, _, _, p_miss = _col_mar_design(
         truth.values, p_missing, predictor_fraction, rng
@@ -332,6 +348,19 @@ def _nn_mnar_design(values: np.ndarray, p_missing: float,
     return p_obs, cells, layers
 
 
+def _check_nn_mnar(p_missing: float, neighborhood_size_range: tuple[int, int],
+                   layer_range: tuple[int, int], width_range: tuple[int, int]) -> None:
+    _check_p_missing(p_missing)
+    for name, rng_pair in (
+        ("neighborhood_size_range", neighborhood_size_range),
+        ("layer_range", layer_range),
+        ("width_range", width_range),
+    ):
+        lo, hi = rng_pair
+        if lo > hi or lo < 1:
+            raise ValueError(f"{name} must be a nonempty positive range, got {rng_pair}")
+
+
 def gen_nn_mnar(
     truth: DataMatrix,
     p_missing: float = 0.4,
@@ -349,16 +378,7 @@ def gen_nn_mnar(
     cells from its row and column; every cell's tuple comes from one batched
     Floyd draw, O(m·n·s) time for size s. Memory grows with m·n·(s + width);
     ``nn_mnar_peak_bytes`` bounds it from the shapes alone."""
-    if not 0.0 < p_missing < 1.0:
-        raise ValueError(f"p_missing must be in (0, 1), got {p_missing}")
-    for name, rng_pair in (
-        ("neighborhood_size_range", neighborhood_size_range),
-        ("layer_range", layer_range),
-        ("width_range", width_range),
-    ):
-        lo, hi = rng_pair
-        if lo > hi or lo < 1:
-            raise ValueError(f"{name} must be a nonempty positive range, got {rng_pair}")
+    _check_nn_mnar(p_missing, neighborhood_size_range, layer_range, width_range)
     rng = seed.rng()
     p_obs, _, _ = _nn_mnar_design(
         truth.values, p_missing, neighborhood_size_range, layer_range, width_range, rng
@@ -383,6 +403,12 @@ def _self_masking_design(values: np.ndarray, p_missing: float,
     return alphas, intercepts, p_miss
 
 
+def _check_self_masking(p_missing: float, target_cols: Optional[Sequence[int]]) -> None:
+    _check_p_missing(p_missing)
+    if target_cols is not None and np.size(target_cols) == 0:
+        raise ValueError("target_cols must not be empty")
+
+
 def gen_self_masking(
     truth: DataMatrix,
     p_missing: float = 0.4,
@@ -396,14 +422,11 @@ def gen_self_masking(
     column's intercept is calibrated to the target missing rate. Columns not
     targeted stay fully observed (default: every column is a target).
     """
-    if not 0.0 < p_missing < 1.0:
-        raise ValueError(f"p_missing must be in (0, 1), got {p_missing}")
+    _check_self_masking(p_missing, target_cols)
     if target_cols is None:
         targets = np.arange(truth.cols)
     else:
         targets = np.unique(np.asarray(target_cols, dtype=int))
-        if targets.size == 0:
-            raise ValueError("target_cols must not be empty")
         if targets.min() < 0 or targets.max() >= truth.cols:
             raise ValueError(f"target_cols out of range for {truth.cols} columns")
     rng = seed.rng()
@@ -419,6 +442,11 @@ def gen_self_masking(
 # ---------------------------------------------------------------------------
 
 
+def _check_censoring(q_censor: float) -> None:
+    if not 0.0 <= q_censor < 0.5:
+        raise ValueError(f"q_censor must be in [0, 0.5), got {q_censor}")
+
+
 def gen_censoring(
     truth: DataMatrix,
     q_censor: float = 0.25,
@@ -432,8 +460,7 @@ def gen_censoring(
     ``directions`` pins it; given directions the mask is deterministic.
     Comparisons are strict, so threshold ties stay observed.
     """
-    if not 0.0 <= q_censor < 0.5:
-        raise ValueError(f"q_censor must be in [0, 0.5), got {q_censor}")
+    _check_censoring(q_censor)
     values = truth.values
     if directions is None:
         rng = seed.rng()
@@ -469,6 +496,11 @@ def gen_panel(truth: DataMatrix, *, seed: SeedSpec) -> Mask:
 # ---------------------------------------------------------------------------
 
 
+def _check_polarization_hard(q_thresh: float) -> None:
+    if not 0.0 < q_thresh < 0.5:
+        raise ValueError(f"q_thresh must be in (0, 0.5), got {q_thresh}")
+
+
 def gen_polarization_hard(
     truth: DataMatrix, q_thresh: float = 0.25, *, seed: SeedSpec
 ) -> Mask:
@@ -477,8 +509,7 @@ def gen_polarization_hard(
     Entries strictly between the q and 1-q quantiles are masked; the seed is
     accepted for interface uniformity but never consumed.
     """
-    if not 0.0 < q_thresh < 0.5:
-        raise ValueError(f"q_thresh must be in (0, 0.5), got {q_thresh}")
+    _check_polarization_hard(q_thresh)
     values = truth.values
     ordered = np.sort(values, axis=0)
     low, high = _quantile(ordered, q_thresh), _quantile(ordered, 1.0 - q_thresh)
@@ -498,6 +529,13 @@ def _soft_polarization_propensity(
     return eps * (1.0 - ratio) + (1.0 - eps) * ratio
 
 
+def _check_polarization_soft(alpha: float, eps: float) -> None:
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < eps < 0.5:
+        raise ValueError(f"eps must be in (0, 0.5), got {eps}")
+
+
 def gen_polarization_soft(
     truth: DataMatrix,
     alpha: float = 2.5,
@@ -510,10 +548,7 @@ def gen_polarization_soft(
     The propensity is exactly eps at the column median and exactly 1-eps at
     the maximum distance from it; a zero-spread column stays at eps.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"eps must be in (0, 0.5), got {eps}")
+    _check_polarization_soft(alpha, eps)
     rng = seed.rng()
     p_miss = _soft_polarization_propensity(truth.values, alpha, eps)
     return bernoulli_mask(1.0 - p_miss, rng)
@@ -536,12 +571,16 @@ def _latent_factor_design(shape: tuple[int, int], k_low: int, k_high: int,
     return k, p_obs
 
 
+def _check_latent_factor(k_low: int, k_high: int) -> None:
+    if not 1 <= k_low <= k_high:
+        raise ValueError(f"need 1 <= k_low <= k_high, got ({k_low}, {k_high})")
+
+
 def gen_latent_factor(
     truth: DataMatrix, k_low: int = 1, k_high: int = 5, *, seed: SeedSpec
 ) -> Mask:
     """Observation propensity from a low-rank bilinear model with biases."""
-    if not 1 <= k_low <= k_high:
-        raise ValueError(f"need 1 <= k_low <= k_high, got ({k_low}, {k_high})")
+    _check_latent_factor(k_low, k_high)
     rng = seed.rng()
     _, p_obs = _latent_factor_design(truth.shape, k_low, k_high, rng)
     return bernoulli_mask(p_obs, rng)
@@ -565,6 +604,14 @@ def _cluster_design(shape: tuple[int, int], n_row_clusters: int, n_col_clusters:
     return row_assign, col_assign, p_obs
 
 
+def _check_cluster(n_row_clusters: int, n_col_clusters: int, tau_r: float,
+                   tau_c: float, eps_std: float) -> None:
+    if n_row_clusters < 1 or n_col_clusters < 1:
+        raise ValueError("cluster counts must be >= 1")
+    if min(tau_r, tau_c, eps_std) < 0:
+        raise ValueError("effect scales must be >= 0")
+
+
 def gen_cluster(
     truth: DataMatrix,
     n_row_clusters: int = 5,
@@ -576,10 +623,7 @@ def gen_cluster(
     seed: SeedSpec,
 ) -> Mask:
     """Additive random effects of row and column clusters set the propensity."""
-    if n_row_clusters < 1 or n_col_clusters < 1:
-        raise ValueError("cluster counts must be >= 1")
-    if min(tau_r, tau_c, eps_std) < 0:
-        raise ValueError("effect scales must be >= 0")
+    _check_cluster(n_row_clusters, n_col_clusters, tau_r, tau_c, eps_std)
     rng = seed.rng()
     _, _, p_obs = _cluster_design(
         truth.shape, n_row_clusters, n_col_clusters, tau_r, tau_c, eps_std, rng
@@ -609,6 +653,12 @@ def _two_phase_design(values: np.ndarray, f_cheap: float, alpha: float, beta: fl
     return cheap, expensive, p_keep
 
 
+def _check_two_phase(f_cheap: float, **_) -> None:
+    """alpha and beta may take any value."""
+    if not 0.0 < f_cheap < 1.0:
+        raise ValueError(f"f_cheap must be in (0, 1), got {f_cheap}")
+
+
 def gen_two_phase(
     truth: DataMatrix,
     f_cheap: float = 0.4,
@@ -619,8 +669,7 @@ def gen_two_phase(
 ) -> Mask:
     """Cheap columns are always collected; a logistic score of them decides,
     row by row, whether the whole expensive block is collected."""
-    if not 0.0 < f_cheap < 1.0:
-        raise ValueError(f"f_cheap must be in (0, 1), got {f_cheap}")
+    _check_two_phase(f_cheap)
     if truth.cols < 2:
         raise ValueError("two-phase needs at least 2 columns")
     rng = seed.rng()
@@ -654,6 +703,12 @@ def _block_design(values: np.ndarray, p_missing: float, n_row_blocks: int,
     return row_ids, col_ids, p_miss
 
 
+def _check_block(p_missing: float, n_row_blocks: int, n_col_blocks: int) -> None:
+    _check_p_missing(p_missing)
+    if n_row_blocks < 1 or n_col_blocks < 1:
+        raise ValueError("block counts must be >= 1")
+
+
 def gen_block(
     truth: DataMatrix,
     p_missing: float = 0.4,
@@ -669,10 +724,7 @@ def gen_block(
     expected overall missing fraction equals ``p_missing``. One Bernoulli
     draw per block paints it missing or observed.
     """
-    if not 0.0 < p_missing < 1.0:
-        raise ValueError(f"p_missing must be in (0, 1), got {p_missing}")
-    if n_row_blocks < 1 or n_col_blocks < 1:
-        raise ValueError("block counts must be >= 1")
+    _check_block(p_missing, n_row_blocks, n_col_blocks)
     if n_row_blocks > truth.rows or n_col_blocks > truth.cols:
         raise ValueError(
             f"block grid {n_row_blocks}x{n_col_blocks} exceeds matrix {truth.shape}"
@@ -721,6 +773,16 @@ class BanditConfig:
 GRADIENT_BANDIT_STEP = 0.1
 
 
+def _check_seq(algorithm: str, epsilon: float, epsilon_decay: float, pooling: bool,
+               reward_noise_scale: float, p_missing: float) -> BanditConfig:
+    """The checked bandit configuration; p_missing is an exploration
+    probability, so 0 and 1 are valid."""
+    cfg = BanditConfig(algorithm, epsilon, epsilon_decay, pooling, reward_noise_scale)
+    if not 0.0 <= p_missing <= 1.0:
+        raise ValueError(f"p_missing must be in [0, 1], got {p_missing}")
+    return cfg
+
+
 def gen_seq(
     truth: DataMatrix,
     algorithm: str = "epsilon_greedy",
@@ -748,11 +810,10 @@ def gen_seq(
     seed reproduces the arm sequence exactly. The bandit parameters are
     checked as a ``BanditConfig`` before anything else.
     """
-    cfg = BanditConfig(algorithm, epsilon, epsilon_decay, pooling, reward_noise_scale)
+    cfg = _check_seq(algorithm, epsilon, epsilon_decay, pooling, reward_noise_scale,
+                     p_missing)
     if truth.cols < 2:
         raise ValueError("sequential masking needs at least 2 columns")
-    if not 0.0 <= p_missing <= 1.0:
-        raise ValueError(f"p_missing must be in [0, 1], got {p_missing}")
     m, n = truth.shape
     rng = seed.rng()
     noise = rng.normal(0.0, cfg.reward_noise_scale, size=(m, n)) \
@@ -835,7 +896,8 @@ def _bandit_means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class PatternSpec:
     """A pattern tag and seed bound to resolved parameters: the pattern's
-    defaults overlaid with the overrides it is built with."""
+    defaults overlaid with the overrides it is built with, checked by the
+    pattern's own check, so a bad one is refused before any mask is drawn."""
 
     pattern: str
     seed: SeedSpec
@@ -843,6 +905,8 @@ class PatternSpec:
 
     def __post_init__(self):
         params = resolve_params("pattern", self.pattern, self.params, PATTERN_DEFAULTS)
+        if self.pattern in _CHECKS:
+            _CHECKS[self.pattern](**params)
         object.__setattr__(self, "params", params)
 
 
@@ -863,6 +927,23 @@ _GENERATORS = {
     "seq": gen_seq,
 }
 
+
+# Each pattern's check of the parameters it can judge without the table, by
+# name, as its generator calls it; panel has no parameter.
+_CHECKS = {
+    "mcar": _check_mcar,
+    "col-mar": _check_col_mar,
+    "nn-mnar": _check_nn_mnar,
+    "self-masking": _check_self_masking,
+    "censoring": _check_censoring,
+    "polarization-hard": _check_polarization_hard,
+    "polarization-soft": _check_polarization_soft,
+    "latent-factor": _check_latent_factor,
+    "cluster": _check_cluster,
+    "two-phase": _check_two_phase,
+    "block": _check_block,
+    "seq": _check_seq,
+}
 
 # Each pattern's parameters and defaults, as its generator's signature states them.
 PATTERN_DEFAULTS: dict[str, dict] = {

@@ -17,13 +17,18 @@ __all__ = ["ProportionState", "softmax_proportions", "step", "uniform_state"]
 SIMPLEX_TOL = 1e-12
 
 
+def _check_temperature(temperature: float) -> None:
+    """Refuse a softmax temperature that is not > 0, NaN included."""
+    if not temperature > 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+
+
 def softmax_proportions(losses: Sequence[float], temperature: float = 1.0) -> np.ndarray:
     """Simplex weights exp(loss/t) / sum(exp(loss/t)), computed stably.
 
     Losses enter un-negated: a higher loss yields a higher proportion.
     """
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    _check_temperature(temperature)
     arr = np.asarray(losses, dtype=float)
     if arr.size == 0:
         raise ValueError("losses must not be empty")
@@ -50,8 +55,7 @@ class ProportionState:
             raise ValueError("need at least one pattern")
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        _check_temperature(self.temperature)
         props = np.array(self.proportions, dtype=float, copy=True)
         if props.shape != (len(self.patterns),):
             raise ValueError("proportions must align with patterns")

@@ -2,17 +2,20 @@ import gc
 import hashlib
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 import pytest
 
-from imputebench import bench, imputers, scheduler
+from imputebench import bench, imputers, missingness, scheduler
 from imputebench.bench import (
     DatasetFormatError,
     _proportion_trajectory,
@@ -32,7 +35,7 @@ from imputebench.bench import (
 )
 from imputebench.core import DataMatrix, Mask, SeedSpec, apply_mask, resolve_params
 from imputebench.datagen import LfmSpec, sample_lfm
-from imputebench.ensemble import EnsembleSpec, blend
+from imputebench.ensemble import EnsembleSpec, blend, permutation_ensemble
 from imputebench.featurize import featurized_ridge_peak_bytes
 from imputebench.imputers import ImputationResult, Imputer, make_imputer
 from imputebench.missingness import (
@@ -42,6 +45,14 @@ from imputebench.missingness import (
     generate,
     nn_mnar_peak_bytes,
 )
+
+
+@contextmanager
+def _no_user_warning():
+    """Fail on any UserWarning, such as the dropped-groups warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        yield
 
 
 def _lfm_record(name, seed, m=30, n=8, k=2):
@@ -427,8 +438,9 @@ def test_group_dropped_when_fewer_than_two_methods_survive():
         make_imputer("col-mean"),
         _AlwaysFails(method="col-mean", name="broken"),
     ]
-    with pytest.warns(UserWarning):
-        with pytest.raises(ValueError):
+    # no warning points at a report that is not written
+    with _no_user_warning():
+        with pytest.raises(ValueError, match="every group was dropped"):
             # both groups lose their only comparison partner -> nothing left
             run_benchmark(datasets, ["mcar"], methods, n_seeds=1, seed=12)
 
@@ -436,7 +448,7 @@ def test_group_dropped_when_fewer_than_two_methods_survive():
 def test_every_group_dropped_names_each_reason_and_its_count():
     datasets = [_lfm_record("d0", 7, n=1, k=1)]
     methods = [make_imputer("col-mean"), make_imputer("knn")]
-    with pytest.warns(UserWarning):
+    with _no_user_warning():
         with pytest.raises(ValueError) as exc:
             run_benchmark(datasets, ["panel", "two-phase"], methods, n_seeds=2)
     assert str(exc.value) == (
@@ -444,10 +456,11 @@ def test_every_group_dropped_names_each_reason_and_its_count():
         "mask generation failed: panel dropout needs at least 2 columns (2 groups); "
         "mask generation failed: two-phase needs at least 2 columns (2 groups)"
     )
-    with pytest.warns(UserWarning):
-        with pytest.raises(ValueError, match=r"got 1\.5 \(1 group\)$"):
-            run_benchmark([_lfm_record("d0", 7)], [("mcar", {"p_missing": 1.5})],
-                          methods, n_seeds=1)
+    # a rate out of range needs no table: it is refused before any group runs
+    with pytest.raises(ValueError) as exc:
+        run_benchmark([_lfm_record("d0", 7)], [("mcar", {"p_missing": 1.5})],
+                      methods, n_seeds=1)
+    assert str(exc.value) == "p_missing must be in [0, 1), got 1.5"
 
 
 def test_a_grid_resolves_each_pattern_once_and_each_group_once(monkeypatch):
@@ -459,12 +472,13 @@ def test_a_grid_resolves_each_pattern_once_and_each_group_once(monkeypatch):
         calls.append((kind, tag))
         return resolve_params(kind, tag, params, defaults)
 
-    monkeypatch.setattr(bench, "resolve_params", counted)
+    assert not hasattr(bench, "resolve_params")  # bench builds PatternSpecs
     monkeypatch.setattr(missingness, "resolve_params", counted)
     datasets = [_lfm_record("d0", 3), _lfm_record("d1", 4)]
     methods = [make_imputer("col-mean"), make_imputer("soft-impute")]
     run_benchmark(datasets, ["mcar", ("block", {"n_col_blocks": 4})], methods, n_seeds=2)
-    # 2 patterns in the grid, then 2 datasets x 2 patterns x 2 replicates
+    # 2 patterns in the grid, then 2 datasets x 2 patterns x 2 replicates,
+    # each group's spec on its own seed
     assert calls.count(("pattern", "mcar")) == calls.count(("pattern", "block")) == 1 + 4
     assert len(calls) == 10
 
@@ -679,7 +693,7 @@ def test_grid_runs_on_one_blas_thread_and_restores_the_count(jobs):
                       [probe, make_imputer("col-mean")], n_seeds=2, seed=23,
                       jobs=jobs)
         assert [get() for get, _ in controls] == caller
-        with pytest.warns(UserWarning), pytest.raises(ValueError, match="dropped"):
+        with _no_user_warning(), pytest.raises(ValueError, match="dropped"):
             run_benchmark([_lfm_record("d0", 22)], ["mcar"],
                           [probe, _AlwaysFails(method="col-mean", name="broken")],
                           n_seeds=1, seed=23, jobs=jobs)
@@ -838,8 +852,8 @@ def test_oversize_nn_mnar_is_refused_before_any_group_runs(monkeypatch):
 def test_oversize_featurized_ridge_is_refused_before_any_group_runs(monkeypatch):
     small, wide = _lfm_record("d0", 24), _lfm_record("d1", 25, m=20, n=40)
     ridge = make_imputer("featurized-ridge", name="fr")
-    need = featurized_ridge_peak_bytes(20, 40, 1e-3)
-    assert need > featurized_ridge_peak_bytes(30, 8, 1e-3)
+    need = featurized_ridge_peak_bytes(20, 40)
+    assert need > featurized_ridge_peak_bytes(30, 8)
 
     def no_group(*args):
         raise AssertionError("a group ran")
@@ -852,10 +866,11 @@ def test_oversize_featurized_ridge_is_refused_before_any_group_runs(monkeypatch)
     assert str(err.value).startswith(
         f"method 'fr' needs {2 * need:,} bytes of featurized ridge normal equations "
         f"for dataset 'd1' (20x40) with 2 groups at once;")
-    # a zero penalty is refused whatever the budget, as the fit would refuse it
-    zero = make_imputer("featurized-ridge", name="fr0", ridge_lambda=0.0)
+    # a zero penalty is refused whatever the budget, when the imputer is built
     with pytest.raises(ValueError, match="featurized ridge needs ridge_lambda > 0"):
-        run_benchmark([small, wide], ["mcar"], [make_imputer("col-mean"), zero],
+        run_benchmark([small, wide], ["mcar"],
+                      [make_imputer("col-mean"),
+                       make_imputer("featurized-ridge", name="fr0", ridge_lambda=0.0)],
                       n_seeds=1)
     # an ensemble's featurized-ridge base counts at its default penalty
     monkeypatch.setattr(bench, "_physical_memory", lambda: need - 1)
@@ -924,6 +939,78 @@ def test_bad_temperature_is_refused_before_any_group_runs(monkeypatch):
                           adaptive_proportions=True, temperature=temperature)
 
 
+# (method or pattern, tag, bad parameters, the imputer's or generator's message)
+_BAD_PARAMETERS = [
+    ("method", "knn", {"k": 0}, "k must be >= 1, got 0"),
+    ("method", "soft-impute", {"tol": float("nan")}, "tol must be finite and >= 0, got nan"),
+    ("method", "soft-impute", {"lam": -1.0}, "lam must be >= 0, got -1.0"),
+    ("method", "soft-impute", {"lam": float("nan")}, "lam must be >= 0, got nan"),
+    ("method", "ice", {"ridge_lambda": -1.0}, "ridge penalty must be >= 0, got -1.0"),
+    ("method", "featurized-ridge", {"ridge_lambda": 0.0},
+     "featurized ridge needs ridge_lambda > 0"),
+    ("method", "ensemble", {"n_perms": 0}, "n_perms must be >= 1, got 0"),
+    ("pattern", "mcar", {"p_missing": 1.5}, "p_missing must be in [0, 1), got 1.5"),
+    ("pattern", "block", {"n_row_blocks": 0}, "block counts must be >= 1"),
+    ("pattern", "seq", {"algorithm": "nope"}, "unknown bandit algorithm 'nope'"),
+    ("pattern", "latent-factor", {"k_low": 3, "k_high": 1},
+     "need 1 <= k_low <= k_high, got (3, 1)"),
+    ("pattern", "nn-mnar", {"neighborhood_size_range": (5, 2)},
+     "neighborhood_size_range must be a nonempty positive range, got (5, 2)"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, tag, params, message", _BAD_PARAMETERS,
+    ids=[f"{tag}-{'-'.join(f'{k}={v}' for k, v in params.items())}"
+         for _, tag, params, _ in _BAD_PARAMETERS])
+def test_a_bad_parameter_is_refused_when_built_when_run_and_before_any_group(
+        monkeypatch, kind, tag, params, message):
+    record = _lfm_record("d0", 9)
+    seed = SeedSpec(9, "direct")
+    refused = pytest.raises(ValueError, match="^" + re.escape(message))
+    if kind == "method":
+        with refused:
+            make_imputer(tag, **params)
+        ds = apply_mask(record.matrix, generate(PatternSpec("mcar", seed), record.matrix))
+        with refused:
+            if tag == "ensemble":
+                permutation_ensemble(make_imputer("col-mean"), ds, seed=seed, **params)
+            else:
+                imputers._IMPUTERS[tag](ds, **params)
+    else:
+        with refused:
+            PatternSpec(tag, seed, params)
+        with refused:
+            missingness._GENERATORS[tag](record.matrix, **params, seed=seed)
+
+    def no_group(*args):
+        raise AssertionError("a group ran")
+
+    masks = []
+    monkeypatch.setattr(bench, "generate", lambda *args: masks.append(generate(*args)))
+    monkeypatch.setattr(bench, "_run_group", no_group)
+    with refused:
+        if kind == "method":
+            run_benchmark([record], ["mcar"],
+                          [make_imputer("col-mean"), make_imputer(tag, **params)],
+                          n_seeds=2)
+        else:
+            run_benchmark([record], [(tag, params)],
+                          [make_imputer("col-mean"), make_imputer("soft-impute")],
+                          n_seeds=2)
+    assert masks == []
+
+
+def test_seq_at_zero_exploration_rate_yields_cells():
+    # seq's p_missing is the chance that exploration skips a cell, so at 0
+    # the bandit still masks cells; only mcar's zero rate masks nothing
+    report = run_benchmark([_lfm_record("d0", 9)], [("seq", {"p_missing": 0})],
+                           [make_imputer("col-mean"), make_imputer("soft-impute")],
+                           n_seeds=2)
+    assert len(report.cells) == 4 and not report.dropped_groups
+    assert all(c["error"] is None and c["rmse"] > 0 for c in report.cells)
+
+
 def test_duplicate_pattern_tags_are_refused():
     # one tag twice would share seed labels and report keys: identical cells,
     # a doubled n_groups and a proportion trajectory that does not sum to 1
@@ -977,7 +1064,8 @@ def test_trajectory_equals_a_full_scheduler_replay():
             for _ in range(rng.integers(0, 4))  # a pattern may have no scored cell
         ]
         temperature = float(10 ** rng.uniform(-2, 1))
-        got = _proportion_trajectory(cells, patterns, temperature)
+        start = scheduler.uniform_state(patterns, period=50, temperature=temperature)
+        got = _proportion_trajectory(cells, start)
         assert json.dumps(got) == json.dumps(
             _replayed_trajectory(cells, patterns, temperature)
         )

@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -458,9 +459,9 @@ def test_impute_oversize_exits_two(tmp_path, capsys, monkeypatch):
     for flags, who, what, need in (
         (["--method", "knn"], "'knn'", knn, knn_peak_bytes(20)),
         (["--method", "ensemble", "--base-a", "knn"], "'ensemble'", knn, knn_peak_bytes(20)),
-        (["--method", "ensemble"], "'ensemble'", ridge, featurized_ridge_peak_bytes(20, 6, 1e-3)),
+        (["--method", "ensemble"], "'ensemble'", ridge, featurized_ridge_peak_bytes(20, 6)),
         (["--method", "featurized-ridge"], "'featurized-ridge'", ridge,
-         featurized_ridge_peak_bytes(20, 6, 1e-3)),
+         featurized_ridge_peak_bytes(20, 6)),
     ):
         monkeypatch.setattr(bench, "_physical_memory", lambda: need - 1)
         assert impute(*flags) == 2, flags
@@ -473,7 +474,7 @@ def test_impute_oversize_exits_two(tmp_path, capsys, monkeypatch):
     assert impute("--method", "knn") == 0 and out.exists()
     out.unlink()
     monkeypatch.setattr(bench, "_physical_memory",
-                        lambda: featurized_ridge_peak_bytes(20, 6, 1e-3))
+                        lambda: featurized_ridge_peak_bytes(20, 6))
     assert impute("--method", "featurized-ridge") == 0 and out.exists()
 
 
@@ -499,8 +500,8 @@ def test_impute_refuses_a_negative_or_nan_penalty(tmp_path, capsys, monkeypatch,
     data = _gen_dataset(tmp_path)
     mask, out = tmp_path / "m.csv", tmp_path / "o.csv"
     assert main(["mask", "--data", str(data), "--pattern", "mcar", "--out", str(mask)]) == 0
-    # the memory rule refuses the penalty before it sizes featurized ridge
-    # from it, so the error names the penalty and not the input's size
+    # the imputer refuses the penalty when it is built, before the memory
+    # rule sizes anything, so the error names the penalty and not the size
     monkeypatch.setattr(bench, "_physical_memory", lambda: 1024)
     assert main(["impute", "--data", str(data), "--mask", str(mask),
                  "--out", str(out), *flags]) == 2
@@ -532,7 +533,9 @@ def test_bench_with_every_group_dropped_names_the_reasons(tmp_path, capsys):
     data_dir.mkdir()
     _gen_dataset(data_dir, name="one.csv", rows=30, cols=1, rank=1)
     out_dir = tmp_path / "run"
-    with pytest.warns(UserWarning):
+    # no warning points at the report that is not written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
         code = main([
             "bench", "--datasets", str(data_dir), "--patterns", "panel,two-phase",
             "--methods", "col-mean,knn", "--seeds", "1", "--out", str(out_dir),

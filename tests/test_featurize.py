@@ -15,7 +15,7 @@ from imputebench.featurize import (
     _row_space,
     _side_block,
 )
-from imputebench.imputers import impute_featurized_ridge, make_imputer
+from imputebench.imputers import _featurized_ridge_fit, impute_featurized_ridge, make_imputer
 
 
 def _masked(values, indicator):
@@ -174,8 +174,6 @@ def test_ridge_singular_at_zero_penalty_reports():
         ridge_on_features(ft, 0.0)
     with pytest.raises(ValueError, match=ZERO_PENALTY):
         impute_featurized_ridge(ds, 0.0)
-    with pytest.raises(ValueError, match=ZERO_PENALTY):
-        featurized_ridge_peak_bytes(4, 3, 0.0)
     preds = ridge_on_features(ft, 1e-6)  # caller retry succeeds
     assert np.all(np.isfinite(preds))
 
@@ -186,13 +184,15 @@ def test_permuted_ridge_singular_at_zero_penalty_reports(monkeypatch):
     ind = np.ones((4, 3), dtype=np.uint8)
     ind[1, 1] = 0
     ds = _masked(truth, ind)
-    base = make_imputer("featurized-ridge", ridge_lambda=0.0)
     perms = [(rng.permutation(4), rng.permutation(3)) for _ in range(3)]
     seed = SeedSpec(15, "singular")
+    # a zero-penalty base is refused when it is built, and the averaged fit
+    # that permutation_ensemble runs refuses it too
     with pytest.raises(ValueError, match=ZERO_PENALTY):
-        permutation_ensemble(base, ds, 3, seed)
+        make_imputer("featurized-ridge", ridge_lambda=0.0)
+    positions = [(np.argsort(rows), np.argsort(cols)) for rows, cols in perms]
     with pytest.raises(ValueError, match=ZERO_PENALTY):
-        permutation_ensemble(base, ds, 3, seed, perms=perms)
+        _featurized_ridge_fit(ds, 0.0, positions=positions)
 
     # The same whichever solve fails: the shared block (2-D) or the stacked
     # 2 x 2 Schur complements (3-D).
@@ -234,10 +234,8 @@ def test_featurized_ridge_peak_bytes_bounds_the_traced_peak(shape, ridge_lambda,
         (np.argsort(rng.permutation(m)), np.argsort(rng.permutation(n))) for _ in range(k)
     ]
     if ridge_lambda == 0:
-        # the bound refuses the penalty the fit refuses, so a memory check
-        # fails as the fit would
-        with pytest.raises(ValueError, match=ZERO_PENALTY):
-            featurized_ridge_peak_bytes(m, n, ridge_lambda)
+        # the fit refuses the penalty before it allocates; the bound, from
+        # the shape alone, does not read it
         with pytest.raises(ValueError, match=ZERO_PENALTY):
             _ridge_fit_predict(ft, ridge_lambda, positions)
         return
@@ -248,14 +246,14 @@ def test_featurized_ridge_peak_bytes_bounds_the_traced_peak(shape, ridge_lambda,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = featurized_ridge_peak_bytes(m, n, ridge_lambda)
+    bound = featurized_ridge_peak_bytes(m, n)
     assert 0.4 * bound <= peak <= bound, peak / bound
 
 
 def test_featurized_ridge_peak_bytes_counts_the_solved_width():
     # p = min(m, 2n) + min(n, 2m)
-    assert featurized_ridge_peak_bytes(3000, 20, 1e-3) == 32 * 60**2 + 128 * 60000
-    assert featurized_ridge_peak_bytes(8, 40, 1.0) == 32 * 24**2 + 128 * 320
+    assert featurized_ridge_peak_bytes(3000, 20) == 32 * 60**2 + 128 * 60000
+    assert featurized_ridge_peak_bytes(8, 40) == 32 * 24**2 + 128 * 320
 
 
 def test_ridge_train_fit_dimensions():
