@@ -28,7 +28,6 @@ from .datagen import (
     sample_lfm,
 )
 from .missingness import (
-    BanditConfig,
     CalibrationError,
     PATTERN_DEFAULTS,
     PATTERN_TAGS,

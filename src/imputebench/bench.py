@@ -119,18 +119,18 @@ def read_data_csv(path: Union[str, Path]) -> tuple[np.ndarray, tuple[str, ...]]:
 
 
 def load_csv(path: Union[str, Path], name: Optional[str] = None) -> DatasetRecord:
-    """Load a benchmark dataset, rejecting any pre-existing missing cell."""
+    """Load a benchmark dataset, rejecting any missing or non-finite cell."""
     path = Path(path)
     values, columns = read_data_csv(path)
-    holes = np.argwhere(np.isnan(values))
+    holes = np.argwhere(~np.isfinite(values))
     if holes.size:
         listed = ", ".join(
             f"(row {r}, column {columns[c]!r})" for r, c in holes[:10]
         )
         more = "" if holes.shape[0] <= 10 else f" and {holes.shape[0] - 10} more"
         raise DatasetFormatError(
-            f"{path}: benchmark datasets must be fully observed; found "
-            f"{holes.shape[0]} empty cells at {listed}{more}"
+            f"{path}: benchmark datasets must be fully observed and finite; found "
+            f"{holes.shape[0]} empty or non-finite cells at {listed}{more}"
         )
     return DatasetRecord(
         name=name or path.stem,
@@ -402,7 +402,8 @@ def _normalize_patterns(
     patterns: Sequence[Union[str, tuple[str, Mapping]]], seed: int
 ) -> list[tuple[PatternSpec, dict]]:
     """Each pattern as its PatternSpec, which checks its parameters, and the
-    caller's overrides. Each group runs the spec on its own seed."""
+    caller's overrides as the spec resolved them. Each group runs the spec
+    on its own seed."""
     out = []
     for entry in patterns:
         if isinstance(entry, str):
@@ -416,7 +417,7 @@ def _normalize_patterns(
             raise ValueError(
                 f"pattern {tag!r} with p_missing=0 produces no missing entries"
             )
-        out.append((spec, overrides))
+        out.append((spec, {key: spec.params[key] for key in overrides}))
     tags = [spec.pattern for spec, _ in out]
     if len(set(tags)) != len(tags):
         # duplicate tags would share group seed streams and report keys

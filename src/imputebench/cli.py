@@ -41,15 +41,34 @@ def _parse_cols(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _pattern_flag(key: str, default) -> dict:
-    """How a ``mask`` flag parses, read off the pattern parameter's default."""
+# Method parameters whose flags keep their historical spelling.
+_FLAG_SPELLINGS = {"lam": "lambda", "n_perms": "perms"}
+
+
+def _flag(key: str, default) -> dict:
+    """How a parameter's flag parses, read off the parameter's default."""
     if key == "target_cols":
         return {"type": _parse_cols, "metavar": "J1,J2,..."}
     if isinstance(default, tuple):
         return {"type": _parse_range, "metavar": "LO:HI"}
     if isinstance(default, bool):
         return {"action": "store_const", "const": True}
+    if default is None:  # soft-impute's lam, a penalty the data picks unless set
+        return {"type": float}
     return {"type": type(default)}
+
+
+def _add_flag_group(parser, title: str, defaults: dict[str, dict]) -> None:
+    """One flag per parameter of the defaults table, in first-seen order.
+    An unset flag stays None, so the parameter's default applies."""
+    group = parser.add_argument_group(title)
+    first_seen: dict = {}
+    for params in defaults.values():
+        for key, default in params.items():
+            first_seen.setdefault(key, default)
+    for key, default in first_seen.items():
+        flag = "--" + _FLAG_SPELLINGS.get(key, key).replace("_", "-")
+        group.add_argument(flag, dest=key, **_flag(key, default))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,13 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     mask.add_argument("--out", required=True, help="output mask CSV path")
     mask.add_argument("--sidecar", default=None,
                       help="parameters JSON path (default: <out>.json)")
-    hp = mask.add_argument_group("pattern hyperparameters (pattern-specific)")
-    first_seen: dict = {}
-    for params in PATTERN_DEFAULTS.values():
-        for key, default in params.items():
-            first_seen.setdefault(key, default)
-    for key, default in first_seen.items():
-        hp.add_argument("--" + key.replace("_", "-"), **_pattern_flag(key, default))
+    _add_flag_group(mask, "pattern hyperparameters (pattern-specific)", PATTERN_DEFAULTS)
 
     imp = sub.add_parser("impute", help="complete a data CSV with one method")
     imp.add_argument("--data", required=True,
@@ -96,15 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     imp.add_argument("--diagnostics", default=None,
                      help="diagnostics JSON path (default: <out>.json)")
     imp.add_argument("--seed", type=int, default=0)
-    imp.add_argument("--k", type=int, default=None, help="knn neighbor count")
-    imp.add_argument("--lambda", type=float, default=None, dest="lam",
-                     help="soft-impute shrinkage")
-    imp.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    imp.add_argument("--tol", type=float, default=None)
-    imp.add_argument("--ridge-lambda", type=float, default=None, dest="ridge_lambda")
-    imp.add_argument("--base-a", default=None, dest="base_a", choices=METHOD_TAGS)
-    imp.add_argument("--base-b", default=None, dest="base_b", choices=METHOD_TAGS)
-    imp.add_argument("--perms", type=int, default=None, dest="n_perms")
+    _add_flag_group(imp, "method hyperparameters (method-specific)", METHOD_DEFAULTS)
 
     bch = sub.add_parser("bench", help="run the evaluation grid")
     bch.add_argument("--datasets", required=True,

@@ -231,13 +231,25 @@ def signature_defaults(fn: Callable) -> dict:
 def resolve_params(
     kind: str, tag: str, params: Mapping, defaults: Mapping[str, dict]
 ) -> dict:
-    """The registry entry ``tag``'s defaults overlaid with ``params``;
-    ``ValueError`` for a tag the registry lacks or a parameter it does not
-    declare."""
+    """The registry entry ``tag``'s defaults overlaid with ``params``, each
+    numpy scalar or array among them, or in a list or tuple among them, as
+    the Python value it holds (an array as a tuple), so reports can write
+    it; ``ValueError`` for a tag the registry lacks or a parameter it does
+    not declare."""
     if tag not in defaults:
         known = ", ".join(defaults)
         raise ValueError(f"unknown {kind} {tag!r} (choose from: {known})")
     unknown = set(params) - set(defaults[tag])
     if unknown:
         raise ValueError(f"unknown parameters for {tag!r}: {sorted(unknown)}")
-    return {**defaults[tag], **params}
+    return {**defaults[tag], **{key: _python_value(v) for key, v in params.items()}}
+
+
+def _python_value(value):
+    if isinstance(value, (np.generic, np.ndarray)):
+        value = value.tolist()
+        return tuple(value) if isinstance(value, list) else value
+    if isinstance(value, (list, tuple)):
+        items = [_python_value(v) for v in value]
+        return items if isinstance(value, list) else tuple(items)
+    return value

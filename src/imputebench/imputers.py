@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -435,6 +435,8 @@ class EnsembleSpec:
     n_perms: int = 4
 
     def __post_init__(self):
+        for tag in (self.base_a, self.base_b):  # refuses a tag the registry lacks
+            resolve_params("base method", tag, {}, METHOD_DEFAULTS)
         _check_n_perms(self.n_perms)
 
 
@@ -451,7 +453,7 @@ _IMPUTERS = {
 # them (the ensemble's: the fields of EnsembleSpec).
 METHOD_DEFAULTS: dict[str, dict] = {
     **{tag: signature_defaults(fn) for tag, fn in _IMPUTERS.items()},
-    "ensemble": asdict(EnsembleSpec()),
+    "ensemble": {f.name: f.default for f in fields(EnsembleSpec)},
 }
 
 METHOD_TAGS = tuple(METHOD_DEFAULTS)

@@ -24,7 +24,6 @@ from .core import DataMatrix, DegenerateMaskError, Mask, SeedSpec, bernoulli_mas
 from .core import resolve_params, signature_defaults
 
 __all__ = [
-    "BanditConfig",
     "CalibrationError",
     "MASK_STREAM",
     "PatternSpec",
@@ -744,43 +743,24 @@ def gen_block(
 BANDIT_ALGORITHMS = ("epsilon_greedy", "ucb", "thompson", "gradient_bandit")
 
 
-@dataclass(frozen=True)
-class BanditConfig:
-    """Configuration of the per-row bandit that writes the mask."""
-
-    algorithm: str = "epsilon_greedy"
-    epsilon: float = 0.4
-    epsilon_decay: float = 0.99
-    pooling: bool = False
-    reward_noise_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.algorithm not in BANDIT_ALGORITHMS:
-            raise ValueError(
-                f"unknown bandit algorithm {self.algorithm!r}; "
-                f"choose from {BANDIT_ALGORITHMS}"
-            )
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if not 0.0 < self.epsilon_decay <= 1.0:
-            raise ValueError(
-                f"epsilon_decay must be in (0, 1], got {self.epsilon_decay}"
-            )
-        if self.reward_noise_scale < 0:
-            raise ValueError("reward_noise_scale must be >= 0")
-
-
 GRADIENT_BANDIT_STEP = 0.1
 
 
 def _check_seq(algorithm: str, epsilon: float, epsilon_decay: float, pooling: bool,
-               reward_noise_scale: float, p_missing: float) -> BanditConfig:
-    """The checked bandit configuration; p_missing is an exploration
-    probability, so 0 and 1 are valid."""
-    cfg = BanditConfig(algorithm, epsilon, epsilon_decay, pooling, reward_noise_scale)
+               reward_noise_scale: float, p_missing: float) -> None:
+    """p_missing is an exploration probability, so 0 and 1 are valid."""
+    if algorithm not in BANDIT_ALGORITHMS:
+        raise ValueError(
+            f"unknown bandit algorithm {algorithm!r}; choose from {BANDIT_ALGORITHMS}"
+        )
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    if not 0.0 < epsilon_decay <= 1.0:
+        raise ValueError(f"epsilon_decay must be in (0, 1], got {epsilon_decay}")
+    if reward_noise_scale < 0:
+        raise ValueError("reward_noise_scale must be >= 0")
     if not 0.0 <= p_missing <= 1.0:
         raise ValueError(f"p_missing must be in [0, 1], got {p_missing}")
-    return cfg
 
 
 def gen_seq(
@@ -807,32 +787,30 @@ def gen_seq(
     Randomness is consumed on a fixed schedule (noise matrix up front, then
     per column: one uniform vector per decision plus one per exploration or
     preference sample), so a straight-line reimplementation with the same
-    seed reproduces the arm sequence exactly. The bandit parameters are
-    checked as a ``BanditConfig`` before anything else.
+    seed reproduces the arm sequence exactly.
     """
-    cfg = _check_seq(algorithm, epsilon, epsilon_decay, pooling, reward_noise_scale,
-                     p_missing)
+    _check_seq(algorithm, epsilon, epsilon_decay, pooling, reward_noise_scale, p_missing)
     if truth.cols < 2:
         raise ValueError("sequential masking needs at least 2 columns")
     m, n = truth.shape
     rng = seed.rng()
-    noise = rng.normal(0.0, cfg.reward_noise_scale, size=(m, n)) \
-        if cfg.reward_noise_scale > 0 else np.zeros((m, n))
+    noise = rng.normal(0.0, reward_noise_scale, size=(m, n)) \
+        if reward_noise_scale > 0 else np.zeros((m, n))
     x = truth.values
 
     # one pooled unit or one per agent, whose reshape-sums return their input
-    n_units = 1 if cfg.pooling else m
+    n_units = 1 if pooling else m
     counts = np.zeros((n_units, 2))
     sums = np.zeros((n_units, 2))
     prefs = np.zeros((n_units, 2))
     baseline_sum = np.zeros(n_units)
     baseline_cnt = np.zeros(n_units)
-    unit = np.zeros(m, dtype=np.intp) if cfg.pooling else np.arange(m)
+    unit = np.zeros(m, dtype=np.intp) if pooling else np.arange(m)
 
     indicator = np.zeros((m, n), dtype=np.uint8)
     agents = np.arange(m)
     for j in range(n):
-        if cfg.algorithm == "gradient_bandit":
+        if algorithm == "gradient_bandit":
             shifted = prefs[unit] - prefs[unit].max(axis=1, keepdims=True)
             e = np.exp(shifted)
             pi = e / e.sum(axis=1, keepdims=True)
@@ -840,22 +818,22 @@ def gen_seq(
             arms = ((agents + 1) % 2).astype(np.intp)
         elif j == 1:
             arms = (agents % 2).astype(np.intp)
-        elif cfg.algorithm == "epsilon_greedy":
-            eps_j = cfg.epsilon * cfg.epsilon_decay ** (j - 2)
+        elif algorithm == "epsilon_greedy":
+            eps_j = epsilon * epsilon_decay ** (j - 2)
             u_explore = rng.random(m)
             u_arm = rng.random(m)
             means = _bandit_means(sums, counts)[unit]
             greedy = (means[:, 1] >= means[:, 0]).astype(np.intp)
             explored = np.where(u_arm < p_missing, 0, 1)
             arms = np.where(u_explore < eps_j, explored, greedy).astype(np.intp)
-        elif cfg.algorithm == "ucb":
+        elif algorithm == "ucb":
             means = _bandit_means(sums, counts)[unit]
             total = counts.sum(axis=1)[unit]
             bonus = np.sqrt(2.0 * np.log(np.maximum(total, 1.0))[:, None]
                             / np.maximum(counts[unit], 1.0))
             ucb = means + bonus
             arms = (ucb[:, 1] >= ucb[:, 0]).astype(np.intp)
-        elif cfg.algorithm == "thompson":
+        elif algorithm == "thompson":
             z = rng.standard_normal((m, 2))
             post_mean = sums[unit] / (counts[unit] + 1.0)
             post_sd = 1.0 / np.sqrt(counts[unit] + 1.0)
@@ -866,7 +844,7 @@ def gen_seq(
 
         got = np.where(arms == 1, x[:, j] + noise[:, j], x[:, j])
         indicator[:, j] = arms
-        if cfg.algorithm == "gradient_bandit":
+        if algorithm == "gradient_bandit":
             base = np.where(baseline_cnt[unit] > 0,
                             baseline_sum[unit] / np.maximum(baseline_cnt[unit], 1.0),
                             0.0)

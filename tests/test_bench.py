@@ -952,6 +952,10 @@ _BAD_PARAMETERS = [
     ("pattern", "mcar", {"p_missing": 1.5}, "p_missing must be in [0, 1), got 1.5"),
     ("pattern", "block", {"n_row_blocks": 0}, "block counts must be >= 1"),
     ("pattern", "seq", {"algorithm": "nope"}, "unknown bandit algorithm 'nope'"),
+    ("pattern", "seq", {"algorithm": "softmax"}, "unknown bandit algorithm 'softmax'"),
+    ("pattern", "seq", {"epsilon": 1.5}, "epsilon must be in [0, 1], got 1.5"),
+    ("pattern", "seq", {"epsilon_decay": 0.0}, "epsilon_decay must be in (0, 1], got 0.0"),
+    ("pattern", "seq", {"reward_noise_scale": -1.0}, "reward_noise_scale must be >= 0"),
     ("pattern", "latent-factor", {"k_low": 3, "k_high": 1},
      "need 1 <= k_low <= k_high, got (3, 1)"),
     ("pattern", "nn-mnar", {"neighborhood_size_range": (5, 2)},
@@ -999,6 +1003,45 @@ def test_a_bad_parameter_is_refused_when_built_when_run_and_before_any_group(
                           [make_imputer("col-mean"), make_imputer("soft-impute")],
                           n_seeds=2)
     assert masks == []
+
+
+def test_unknown_ensemble_base_is_refused_when_built():
+    # so a grid never holds such an ensemble
+    refused = pytest.raises(
+        ValueError, match=re.escape("unknown base method 'nope' (choose from: col-mean, knn, ")
+    )
+    for params in ({"base_a": "nope"}, {"base_b": "nope"}):
+        with refused:
+            make_imputer("ensemble", **params)
+        with refused:
+            EnsembleSpec(**params)
+
+
+@pytest.mark.parametrize("pattern, numpy_params, python_params", [
+    ("block", {"n_row_blocks": np.int64(3), "n_col_blocks": np.int64(2)},
+     {"n_row_blocks": 3, "n_col_blocks": 2}),
+    ("mcar", {"p_missing": np.float32(0.3)}, {"p_missing": float(np.float32(0.3))}),
+    ("self-masking", {"target_cols": np.array([0, 2])}, {"target_cols": (0, 2)}),
+    ("self-masking", {"target_cols": [np.int64(0), np.int64(2)]}, {"target_cols": [0, 2]}),
+])
+def test_numpy_parameters_report_as_their_python_values(
+        tmp_path, pattern, numpy_params, python_params):
+    record = _lfm_record("d0", 9)
+    written = []
+    for params, k in ((numpy_params, np.int64(3)), (python_params, 3)):
+        methods = [make_imputer("col-mean"), make_imputer("knn", k=k)]
+        report = run_benchmark([record], [(pattern, params)], methods, n_seeds=1)
+        json_path, csv_path = emit_report(report, tmp_path / str(len(written)))
+        doc = json.loads(json_path.read_text())
+        del doc["timings"]
+        written.append((doc, csv_path.read_bytes()))
+    assert written[0] == written[1]
+    doc = written[0][0]
+    assert doc["config"]["patterns"] == [
+        {"pattern": pattern, "overrides": json.loads(json.dumps(python_params))}
+    ]
+    assert doc["config"]["methods"][1]["params"] == {"k": 3}
+    assert [c["diagnostics"]["k"] for c in doc["cells"] if c["method"] == "knn"] == [3]
 
 
 def test_seq_at_zero_exploration_rate_yields_cells():

@@ -307,6 +307,62 @@ def test_impute_flags_are_method_parameters():
     assert keys == flags
 
 
+def test_impute_flag_group_is_pinned():
+    """Every flag the group generated from METHOD_DEFAULTS must keep:
+    (option, dest, type); two keep their historical spelling."""
+    expected = [
+        ("--k", "k", int),
+        ("--lambda", "lam", float),
+        ("--max-iter", "max_iter", int),
+        ("--tol", "tol", float),
+        ("--ridge-lambda", "ridge_lambda", float),
+        ("--base-a", "base_a", str),
+        ("--base-b", "base_b", str),
+        ("--perms", "n_perms", int),
+    ]
+    group = next(g for g in _subcommand("impute")._action_groups
+                 if g.title.startswith("method hyperparameters"))
+    actions = group._group_actions
+    assert [(*a.option_strings, a.dest, a.type) for a in actions] == expected
+    for action in actions:  # unset flags stay None, so the defaults apply
+        assert isinstance(action, argparse._StoreAction)
+        assert action.default is None and not action.required and action.choices is None
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("impute", ["--method", "ensemble", "--base-a", "nope"],
+     "unknown base method 'nope' (choose from: col-mean, knn, soft-impute, ice, "
+     "featurized-ridge, ensemble)"),
+    ("impute", ["--method", "ensemble", "--base-b", "nope"], "unknown base method 'nope'"),
+    ("mask", ["--pattern", "seq", "--algorithm", "softmax"],
+     "unknown bandit algorithm 'softmax'"),
+])
+def test_bad_tag_parameter_exits_two_without_output(tmp_path, capsys, command, flags,
+                                                     message):
+    data = _gen_dataset(tmp_path)
+    mask, out = tmp_path / "m.csv", tmp_path / "o.csv"
+    assert main(["mask", "--data", str(data), "--pattern", "mcar", "--out", str(mask)]) == 0
+    extra = ["--mask", str(mask)] if command == "impute" else []
+    assert main([command, "--data", str(data), *extra, "--out", str(out), *flags]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "o.csv.json").exists()
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+def test_bench_non_finite_cell_exits_two_naming_the_file_and_cell(tmp_path, capsys, cell):
+    data_dir = tmp_path / "datasets"
+    data_dir.mkdir()
+    path = data_dir / "d.csv"
+    path.write_text(f"a,b\n1,2\n3,{cell}\n4,5\n")
+    out_dir = tmp_path / "run"
+    assert main(["bench", "--datasets", str(data_dir), "--patterns", "mcar",
+                 "--methods", "col-mean,knn", "--seeds", "1", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "found 1 empty or non-finite cells at (row 1, column 'b')" in err
+    assert not out_dir.exists()
+
+
 def test_impute_ensemble_method(tmp_path):
     data = _gen_dataset(tmp_path, rows=15, cols=5)
     mask_path = tmp_path / "mask.csv"

@@ -350,12 +350,12 @@ def test_blend_with_perfect_base_takes_it_entirely(monkeypatch):
     real = make_imputer
 
     def fake_make(tag, **params):
-        if tag == "oracle":
+        if tag == "knn":  # the base tags are checked, so a real one stands in
             return _PerfectImputer(method="col-mean", name="oracle")
         return real(tag, **params)
 
     monkeypatch.setattr(ens, "make_imputer", fake_make)
-    spec = EnsembleSpec(base_a="oracle", base_b="col-mean", n_perms=1)
+    spec = EnsembleSpec(base_a="knn", base_b="col-mean", n_perms=1)
     out = blend(ds, spec, SEED)
     assert out.diagnostics["weight"] == pytest.approx(1.0, abs=1e-9)
     missing = ds.mask.missing

@@ -2,7 +2,6 @@ import hashlib
 import math
 import tracemalloc
 import warnings
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -964,10 +963,10 @@ def test_seq_epsilon_zero_is_bit_deterministic():
 def test_seq_epsilon_greedy_matches_reference_loop():
     m, n = 5, 8
     X = _random_matrix(m, n, 15)
-    cfg = mg.BanditConfig(epsilon=0.4, epsilon_decay=0.99, reward_noise_scale=1.0)
-    p_missing = 0.4
+    epsilon, epsilon_decay, p_missing = 0.4, 0.99, 0.4
     seed = SeedSpec(77, "seq-ref")
-    mask = mg.gen_seq(X, **asdict(cfg), p_missing=p_missing, seed=seed)
+    mask = mg.gen_seq(X, epsilon=epsilon, epsilon_decay=epsilon_decay,
+                      reward_noise_scale=1.0, p_missing=p_missing, seed=seed)
 
     # straight-line reference of the same update rule and draw schedule
     rng = seed.rng()
@@ -981,7 +980,7 @@ def test_seq_epsilon_greedy_matches_reference_loop():
         elif j == 1:
             arms = [i % 2 for i in range(m)]
         else:
-            eps_j = cfg.epsilon * cfg.epsilon_decay ** (j - 2)
+            eps_j = epsilon * epsilon_decay ** (j - 2)
             u_explore = rng.random(m)
             u_arm = rng.random(m)
             arms = []
@@ -999,17 +998,17 @@ def test_seq_epsilon_greedy_matches_reference_loop():
     assert np.array_equal(mask.indicator, ref)
 
 
-def _gradient_bandit_two_softmax(X, cfg, seed):
+def _gradient_bandit_two_softmax(X, pooling, reward_noise_scale, seed):
     """The gradient-bandit loop with the softmax taken twice per column:
     once for the arm draw and again for the preference update."""
     m, n = X.shape
     rng = seed.rng()
-    noise = rng.normal(0.0, cfg.reward_noise_scale, size=(m, n))
+    noise = rng.normal(0.0, reward_noise_scale, size=(m, n))
     rewards = np.stack([X.values, X.values + noise], axis=-1)
-    n_units = 1 if cfg.pooling else m
+    n_units = 1 if pooling else m
     prefs = np.zeros((n_units, 2))
     baseline_sum, baseline_cnt = np.zeros(n_units), np.zeros(n_units)
-    unit = np.zeros(m, dtype=np.intp) if cfg.pooling else np.arange(m)
+    unit = np.zeros(m, dtype=np.intp) if pooling else np.arange(m)
     agents = np.arange(m)
     ref = np.zeros((m, n), dtype=np.uint8)
     for j in range(n):
@@ -1032,7 +1031,7 @@ def _gradient_bandit_two_softmax(X, cfg, seed):
         onehot = np.zeros((m, 2))
         onehot[agents, arms] = 1.0
         update = (mg.GRADIENT_BANDIT_STEP * (got - base))[:, None] * (onehot - pi)
-        if cfg.pooling:
+        if pooling:
             prefs[0] += update.sum(axis=0)
             baseline_sum[0] += got.sum()
             baseline_cnt[0] += m
@@ -1047,11 +1046,12 @@ def _gradient_bandit_two_softmax(X, cfg, seed):
 def test_seq_gradient_bandit_matches_two_softmax_loop(pooling):
     for s in range(5):
         X = _random_matrix(15, 40, 60 + s)
-        cfg = mg.BanditConfig(algorithm="gradient_bandit", pooling=pooling,
-                              reward_noise_scale=0.5 + s)
+        noise_scale = 0.5 + s
         seed = SeedSpec(s, "seq-gb")
-        mask = mg.gen_seq(X, **asdict(cfg), seed=seed)
-        assert np.array_equal(mask.indicator, _gradient_bandit_two_softmax(X, cfg, seed))
+        mask = mg.gen_seq(X, algorithm="gradient_bandit", pooling=pooling,
+                          reward_noise_scale=noise_scale, seed=seed)
+        assert np.array_equal(mask.indicator,
+                              _gradient_bandit_two_softmax(X, pooling, noise_scale, seed))
 
 
 @pytest.mark.parametrize("algorithm", mg.BANDIT_ALGORITHMS)
@@ -1074,8 +1074,8 @@ def test_seq_pooling_changes_behavior_but_not_determinism():
 
 
 def test_seq_rejects_unknown_algorithm():
-    with pytest.raises(ValueError):
-        mg.BanditConfig(algorithm="softmax")
+    with pytest.raises(ValueError, match="unknown bandit algorithm 'softmax'"):
+        mg.PatternSpec("seq", SeedSpec(0, "s"), {"algorithm": "softmax"})
     # the bandit is checked before the table, as when generate built it
     with pytest.raises(ValueError, match="unknown bandit algorithm"):
         mg.gen_seq(_random_matrix(4, 1, 0), algorithm="softmax", seed=SeedSpec(0, "s"))
