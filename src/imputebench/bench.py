@@ -331,20 +331,15 @@ def _scalar_diagnostics(diag: Mapping) -> dict:
     return keep
 
 
-@dataclass
-class _GroupResult:
-    cells: list
-    timings: list
-    dropped: Optional[dict]
-
-
 def _run_group(
     dataset: DatasetRecord,
     spec: PatternSpec,
     replicate: int,
     run_seed: int,
     methods: Sequence[Imputer],
-) -> _GroupResult:
+) -> tuple[list, list, Optional[dict]]:
+    """The group's cells and each method's wall time in seconds, or no cells
+    and the record of why the group was dropped."""
     pattern = spec.pattern
     group_seed = SeedSpec(run_seed, f"{dataset.name}/{pattern}/{replicate}")
     base = {"dataset": dataset.name, "pattern": pattern, "seed": replicate}
@@ -355,12 +350,10 @@ def _run_group(
         masked = apply_mask(dataset.matrix, mask)
         ds, _ = standardize_observed(masked)
     except Exception as exc:  # mask-level failure drops the whole group
-        return _GroupResult(
-            [], [], dropped={**base, "reason": f"mask generation failed: {exc}"}
-        )
+        return [], [], {**base, "reason": f"mask generation failed: {exc}"}
     digest = _dataset_digest(ds)
     shared: dict = {}  # seedless runs, dropped with the group (see run_shared)
-    cells, timings, rmses = [], [], {}
+    cells, seconds, rmses = [], [], {}
     for method in methods:
         cell = {
             **base,
@@ -382,20 +375,23 @@ def _run_group(
             elapsed = time.perf_counter() - t0
             cell["error"] = f"{type(exc).__name__}: {exc}"
         cells.append(cell)
-        timings.append({"seconds": elapsed})
-    dropped = None
-    if len(rmses) >= 2:
-        acc = imputation_accuracy(rmses)
-        for cell in cells:
-            if cell["error"] is None:
-                cell["accuracy"] = acc[cell["method"]]
-    else:
-        dropped = {
-            **base,
-            "reason": f"only {len(rmses)} methods survived; need 2 to normalize",
+        seconds.append(elapsed)
+    if len(rmses) < 2:
+        return [], [], {
+            **base, "reason": f"only {len(rmses)} methods survived; need 2 to normalize"
         }
-        cells, timings = [], []
-    return _GroupResult(cells, timings, dropped)
+    acc = imputation_accuracy(rmses)
+    for cell in cells:
+        if cell["error"] is None:
+            cell["accuracy"] = acc[cell["method"]]
+    return cells, seconds, None
+
+
+def _require_unique(what: str, names: list[str]) -> None:
+    """Refuse repeated names: they would share group seed streams and report
+    keys."""
+    if len(set(names)) != len(names):
+        raise ValueError(f"{what} must be unique, got {names}")
 
 
 def _normalize_patterns(
@@ -418,10 +414,7 @@ def _normalize_patterns(
                 f"pattern {tag!r} with p_missing=0 produces no missing entries"
             )
         out.append((spec, {key: spec.params[key] for key in overrides}))
-    tags = [spec.pattern for spec, _ in out]
-    if len(set(tags)) != len(tags):
-        # duplicate tags would share group seed streams and report keys
-        raise ValueError(f"pattern tags must be unique, got {tags}")
+    _require_unique("pattern tags", [spec.pattern for spec, _ in out])
     return out
 
 
@@ -431,24 +424,19 @@ def _aggregate(cells: Sequence[dict], methods: Sequence[str]) -> dict:
         std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
         return {"mean": float(arr.mean()), "std": std, "n_groups": int(arr.size)}
 
+    scores: dict[str, list] = {}
     per_pattern: dict[str, dict] = {}
-    overall: dict[str, dict] = {}
-    for method in methods:
-        scores = [c["accuracy"] for c in cells
-                  if c["method"] == method and c["accuracy"] is not None]
-        if scores:
-            overall[method] = stats(scores)
-    for cell in cells:
-        if cell["accuracy"] is None:
-            continue
-        per_pattern.setdefault(cell["pattern"], {}).setdefault(
-            cell["method"], []
-        ).append(cell["accuracy"])
     runs: dict[str, dict] = {}
     for cell in cells:
+        method, pattern = cell["method"], cell["pattern"]
+        if cell["accuracy"] is not None:
+            scores.setdefault(method, []).append(cell["accuracy"])
+            per_pattern.setdefault(pattern, {}).setdefault(method, []).append(
+                cell["accuracy"]
+            )
         diag = cell["diagnostics"]  # empty unless the cell was scored
         if "converged" in diag:
-            runs.setdefault(cell["method"], {}).setdefault(cell["pattern"], []).append(
+            runs.setdefault(method, {}).setdefault(pattern, []).append(
                 (diag["converged"], diag["iterations"])
             )
     return {
@@ -456,7 +444,7 @@ def _aggregate(cells: Sequence[dict], methods: Sequence[str]) -> dict:
             pattern: {m: stats(vals) for m, vals in by_method.items()}
             for pattern, by_method in per_pattern.items()
         },
-        "overall": overall,
+        "overall": {m: stats(scores[m]) for m in methods if m in scores},
         "std_convention": "sample std (ddof=1) across (dataset, replicate) groups",
         "convergence": {
             method: {
@@ -587,21 +575,23 @@ def refuse_oversize(
     ``shapes`` maps each dataset name to its (rows, cols). The bounded needs are knn's m x m
     arrays (``knn_peak_bytes``) and featurized ridge's normal equations
     (``featurized_ridge_peak_bytes``), as a method or as an ensemble base,
-    and nn-mnar's neighborhood arrays at the upper ends of its resolved
-    ranges (``nn_mnar_peak_bytes``). They are checked in that order and the
-    first that does not fit is reported.
+    which fits the ensemble's ``n_perms`` index assignments at once, and
+    nn-mnar's neighborhood arrays at the upper ends of its resolved ranges
+    (``nn_mnar_peak_bytes``). They are checked in that order and the first
+    that does not fit is reported.
     """
     knn, ridge = [], []  # needs: (who, what, bytes for an m x n dataset)
     for imputer in methods:
-        who, runs = f"method {imputer.name!r}", [imputer]
-        for run in runs:  # an ensemble appends its two bases
+        who, runs = f"method {imputer.name!r}", [(imputer, 1)]
+        for run, k in runs:  # an ensemble appends its bases and their assignment count
             if run.method == "ensemble":
-                runs += [Imputer(run.params["base_a"]), Imputer(run.params["base_b"])]
+                runs += [(Imputer(run.params[base]), run.params["n_perms"])
+                         for base in ("base_a", "base_b")]
             elif run.method == "knn":
                 knn.append((who, "knn row distances", lambda m, n: knn_peak_bytes(m)))
             elif run.method == "featurized-ridge":
                 ridge.append((who, "featurized ridge normal equations",
-                              featurized_ridge_peak_bytes))
+                              partial(featurized_ridge_peak_bytes, k=k)))
     nn_mnar = [
         (f"pattern {spec.pattern!r}", "neighborhood arrays",
          partial(nn_mnar_peak_bytes, size_hi=spec.params["neighborhood_size_range"][1],
@@ -655,12 +645,8 @@ def run_benchmark(
     if len(methods) < 2:
         raise ValueError("need at least two methods for accuracy normalization")
     names = [m.name for m in methods]
-    if len(set(names)) != len(names):
-        raise ValueError(f"method names must be unique, got {names}")
-    dataset_names = [d.name for d in datasets]
-    if len(set(dataset_names)) != len(dataset_names):
-        # duplicate names would share group seed streams and report keys
-        raise ValueError(f"dataset names must be unique, got {dataset_names}")
+    _require_unique("method names", names)
+    _require_unique("dataset names", [d.name for d in datasets])
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     if jobs < 1:
@@ -690,14 +676,12 @@ def run_benchmark(
                     pool.map(lambda task: _run_group(*task, seed, methods), tasks)
                 )
 
-    cells, timings, dropped = [], [], []
-    for res in results:
-        cells.extend(res.cells)
-        timings.extend(res.timings)
-        if res.dropped is not None:
-            dropped.append(res.dropped)
-    for index, timing in enumerate(timings):
-        timing["index"] = index
+    cells, seconds, dropped = [], [], []
+    for group_cells, group_seconds, drop in results:
+        cells += group_cells
+        seconds += group_seconds
+        if drop:
+            dropped.append(drop)
     if not cells:
         reasons = Counter(d["reason"] for d in dropped)
         listed = "; ".join(
@@ -707,10 +691,6 @@ def run_benchmark(
     if dropped:
         warnings.warn(f"{len(dropped)} groups dropped; see report dropped_groups")
 
-    aggregates = _aggregate(cells, names)
-    trajectory = None
-    if adaptive_proportions:
-        trajectory = _proportion_trajectory(cells, start)
     config = {
         "schema_version": SCHEMA_VERSION,
         "mask_stream": MASK_STREAM,
@@ -720,9 +700,7 @@ def run_benchmark(
             for spec, overrides in norm_patterns
         ],
         "methods": [
-            {"name": m.name, "method": m.method,
-             "params": _scalar_diagnostics(m.params)}
-            for m in methods
+            {"name": m.name, "method": m.method, "params": dict(m.params)} for m in methods
         ],
         "n_seeds": n_seeds,
         "seed": seed,
@@ -730,10 +708,12 @@ def run_benchmark(
     return BenchReport(
         config=config,
         cells=cells,
-        aggregates=aggregates,
-        timings=timings,
+        aggregates=_aggregate(cells, names),
+        timings=[{"seconds": s, "index": i} for i, s in enumerate(seconds)],
         dropped_groups=dropped,
-        proportion_trajectory=trajectory,
+        proportion_trajectory=(
+            _proportion_trajectory(cells, start) if adaptive_proportions else None
+        ),
     )
 
 
@@ -761,36 +741,15 @@ def _proportion_trajectory(cells: Sequence[dict], start: ProportionState) -> lis
 # ---------------------------------------------------------------------------
 
 
-def _report_document(report: BenchReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": report.config,
-        "cells": report.cells,
-        "aggregates": report.aggregates,
-        "dropped_groups": report.dropped_groups,
-        "proportion_trajectory": report.proportion_trajectory,
-        "timings": report.timings,
-    }
-
-
 def render_table(aggregates: Mapping, methods: Sequence[str]) -> list[list[str]]:
     """Rows = patterns plus Overall, columns = methods, cells mean ± std."""
-    rows = [["pattern", *methods]]
-    for pattern in sorted(aggregates["per_pattern"]):
-        by_method = aggregates["per_pattern"][pattern]
-        row = [pattern]
-        for method in methods:
-            entry = by_method.get(method)
-            row.append(
-                f"{entry['mean']:.3f} ± {entry['std']:.3f}" if entry else ""
-            )
-        rows.append(row)
-    overall = ["Overall"]
-    for method in methods:
-        entry = aggregates["overall"].get(method)
-        overall.append(f"{entry['mean']:.3f} ± {entry['std']:.3f}" if entry else "")
-    rows.append(overall)
-    return rows
+    per_pattern = aggregates["per_pattern"]
+    labelled = [(p, per_pattern[p]) for p in sorted(per_pattern)]
+    return [["pattern", *methods]] + [
+        [label, *(f"{e['mean']:.3f} ± {e['std']:.3f}" if (e := by_method.get(m)) else ""
+                  for m in methods)]
+        for label, by_method in labelled + [("Overall", aggregates["overall"])]
+    ]
 
 
 def emit_report(report: BenchReport, out_dir: Union[str, Path]) -> tuple[Path, Path]:
@@ -801,9 +760,8 @@ def emit_report(report: BenchReport, out_dir: Union[str, Path]) -> tuple[Path, P
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "report.json"
     csv_path = out_dir / "report.csv"
-    json_path.write_text(
-        json.dumps(_report_document(report), sort_keys=True, indent=2) + "\n"
-    )
+    document = {"schema_version": SCHEMA_VERSION, **vars(report)}
+    json_path.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
     methods = [m["name"] for m in report.config["methods"]]
     with csv_path.open("w", newline="") as fh:
         csv.writer(fh).writerows(render_table(report.aggregates, methods))

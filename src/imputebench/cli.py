@@ -228,6 +228,11 @@ def _cmd_impute(args) -> int:
     return 0
 
 
+def _print_table(rows: list[list[str]]) -> None:
+    for row in rows:
+        print("  ".join(f"{cell:<22}" for cell in row).rstrip())
+
+
 def _cmd_bench(args) -> int:
     datasets = bench_mod.discover_datasets(args.datasets)
     if args.patterns.strip() == "all":
@@ -250,10 +255,7 @@ def _cmd_bench(args) -> int:
         temperature=args.temperature,
     )
     json_path, csv_path = bench_mod.emit_report(report, args.out)
-    for row in bench_mod.render_table(
-        report.aggregates, [m.name for m in methods]
-    ):
-        print("  ".join(f"{cell:<22}" for cell in row).rstrip())
+    _print_table(bench_mod.render_table(report.aggregates, [m.name for m in methods]))
     print(f"wrote {json_path} and {csv_path}")
     failures = [c for c in report.cells if c["error"] is not None]
     if report.dropped_groups or failures:
@@ -276,8 +278,7 @@ def _cmd_report(args) -> int:
             f"{args.report_path}: not a bench report with config.methods and "
             f"aggregates ({type(exc).__name__}: {exc})"
         ) from exc
-    for row in rows:
-        print("  ".join(f"{cell:<22}" for cell in row).rstrip())
+    _print_table(rows)
     if args.out:
         with Path(args.out).open("w", newline="") as fh:
             csv.writer(fh).writerows(rows)

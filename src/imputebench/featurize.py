@@ -27,6 +27,7 @@ column part below n, and the unpenalized system is singular for every table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -155,31 +156,37 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _check_penalty(ridge_lambda: float) -> None:
-    """Refuse a ridge penalty that is not >= 0, NaN included."""
-    if not ridge_lambda >= 0:
-        raise ValueError(f"ridge penalty must be >= 0, got {ridge_lambda}")
+def _check_penalty(penalty: float, name: str = "ridge penalty") -> None:
+    """Refuse a penalty that is not >= 0, NaN included, or is infinite."""
+    if not penalty >= 0:
+        raise ValueError(f"{name} must be >= 0, got {penalty}")
+    if penalty == math.inf:
+        raise ValueError(f"{name} must be finite, got {penalty}")
 
 
 def _check_ridge_penalty(ridge_lambda: float) -> None:
-    """Refuse a featurized-ridge penalty that is not > 0: NaN and negative
-    ones with ``_check_penalty``'s message, then zero."""
+    """Refuse a featurized-ridge penalty that is not > 0 and finite: NaN,
+    negative and infinite ones with ``_check_penalty``'s message, then zero."""
     _check_penalty(ridge_lambda)
     if ridge_lambda == 0:
         raise ValueError("featurized ridge needs ridge_lambda > 0: its normal "
                          "equations are singular at 0 for every table")
 
 
-def featurized_ridge_peak_bytes(m: int, n: int) -> int:
-    """Bytes that ``_ridge_fit_predict`` holds at once on an m x n matrix,
-    from the shape alone: the p x p shared Gram block with its solver copies
-    (32 bytes per entry) and the side blocks and their intermediates (128
-    bytes per cell), where p = min(m, 2n) + min(n, 2m). Under tracemalloc
-    the fit, plain or averaged over four assignments, peaks at 0.34-0.83 of
-    it from 20 x 6 to 3000 x 20, 600 x 600 and 1000 x 400; on smaller tables
-    a few KiB of fixed overhead can exceed it."""
+def featurized_ridge_peak_bytes(m: int, n: int, k: int = 1) -> int:
+    """Bytes that the featurized-ridge fit averaged over k index assignments
+    (k = 1: the plain fit) holds at once on an m x n matrix, from the shape
+    alone: the p x p shared Gram block with its solver copies (32 bytes per
+    entry), the side blocks and their intermediates (128 bytes per cell),
+    and per assignment its permutations, positions, index columns and
+    right-hand side and solution columns (64 bytes per row, column and
+    shared coefficient), where p = min(m, 2n) + min(n, 2m). Under
+    tracemalloc the fit, and the ensemble that draws the k permutations and
+    runs it, peak at 0.34-0.86 of it from 20 x 6 to 3000 x 20, 600 x 600 and
+    1000 x 400, with k from 1 to 1000 (to 100 on the three largest); on
+    smaller tables a few KiB of fixed overhead can exceed it."""
     p = min(m, 2 * n) + min(n, 2 * m)
-    return 32 * p * p + 128 * m * n
+    return 32 * p * p + 128 * m * n + 64 * k * (m + n + p)
 
 
 def _ridge_fit_predict(

@@ -169,10 +169,10 @@ def _check_stop(max_iter: int, tol: float) -> None:
 
 
 def _check_soft(lam: Optional[float], max_iter: int, tol: float) -> None:
-    """Refuse a shrinkage lam that is given and not >= 0, NaN included, and
-    a stop rule ``_check_stop`` refuses."""
-    if lam is not None and not lam >= 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    """Refuse a shrinkage lam that is given and ``_check_penalty`` refuses,
+    and a stop rule ``_check_stop`` refuses."""
+    if lam is not None:
+        _check_penalty(lam, "lam")
     _check_stop(max_iter, tol)
 
 

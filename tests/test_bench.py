@@ -9,7 +9,7 @@ import threading
 import tracemalloc
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import numpy as np
@@ -17,6 +17,7 @@ import pytest
 
 from imputebench import bench, imputers, missingness, scheduler
 from imputebench.bench import (
+    BenchReport,
     DatasetFormatError,
     _proportion_trajectory,
     DatasetRecord,
@@ -872,9 +873,11 @@ def test_oversize_featurized_ridge_is_refused_before_any_group_runs(monkeypatch)
                       [make_imputer("col-mean"),
                        make_imputer("featurized-ridge", name="fr0", ridge_lambda=0.0)],
                       n_seeds=1)
-    # an ensemble's featurized-ridge base counts at its default penalty
-    monkeypatch.setattr(bench, "_physical_memory", lambda: need - 1)
-    with pytest.raises(ValueError, match=f"method 'ens' needs {need:,} bytes"):
+    # an ensemble's featurized-ridge base counts at its default penalty and
+    # with its default 4 index assignments
+    ens_need = featurized_ridge_peak_bytes(20, 40, 4)
+    monkeypatch.setattr(bench, "_physical_memory", lambda: ens_need - 1)
+    with pytest.raises(ValueError, match=f"method 'ens' needs {ens_need:,} bytes"):
         run_benchmark([small, wide], ["mcar"],
                       [make_imputer("col-mean"), make_imputer("ensemble", name="ens")],
                       n_seeds=1)
@@ -946,6 +949,10 @@ _BAD_PARAMETERS = [
     ("method", "soft-impute", {"lam": -1.0}, "lam must be >= 0, got -1.0"),
     ("method", "soft-impute", {"lam": float("nan")}, "lam must be >= 0, got nan"),
     ("method", "ice", {"ridge_lambda": -1.0}, "ridge penalty must be >= 0, got -1.0"),
+    ("method", "soft-impute", {"lam": float("inf")}, "lam must be finite, got inf"),
+    ("method", "ice", {"ridge_lambda": float("inf")}, "ridge penalty must be finite, got inf"),
+    ("method", "featurized-ridge", {"ridge_lambda": float("inf")},
+     "ridge penalty must be finite, got inf"),
     ("method", "featurized-ridge", {"ridge_lambda": 0.0},
      "featurized ridge needs ridge_lambda > 0"),
     ("method", "ensemble", {"n_perms": 0}, "n_perms must be >= 1, got 0"),
@@ -1146,6 +1153,94 @@ def test_report_config_names_the_mask_stream(tmp_path):
     json_path, _ = emit_report(_small_report(), tmp_path)
     assert MASK_STREAM == 2
     assert json.loads(json_path.read_text())["config"]["mask_stream"] == MASK_STREAM
+
+
+def test_report_json_keys_are_the_report_fields_and_the_schema_version(tmp_path):
+    json_path, _ = emit_report(_small_report(), tmp_path)
+    keys = sorted(json.loads(json_path.read_text()))
+    assert keys == sorted([f.name for f in fields(BenchReport)] + ["schema_version"])
+
+
+def _three_walk_aggregate(cells, methods):
+    """The aggregates as one walk over the cells per list: overall, then
+    per pattern, then convergence."""
+    def stats(values):
+        arr = np.array(values, dtype=float)
+        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+        return {"mean": float(arr.mean()), "std": std, "n_groups": int(arr.size)}
+
+    per_pattern, overall = {}, {}
+    for method in methods:
+        scores = [c["accuracy"] for c in cells
+                  if c["method"] == method and c["accuracy"] is not None]
+        if scores:
+            overall[method] = stats(scores)
+    for cell in cells:
+        if cell["accuracy"] is None:
+            continue
+        per_pattern.setdefault(cell["pattern"], {}).setdefault(
+            cell["method"], []
+        ).append(cell["accuracy"])
+    runs = {}
+    for cell in cells:
+        diag = cell["diagnostics"]
+        if "converged" in diag:
+            runs.setdefault(cell["method"], {}).setdefault(cell["pattern"], []).append(
+                (diag["converged"], diag["iterations"])
+            )
+    return {
+        "per_pattern": {
+            pattern: {m: stats(vals) for m, vals in by_method.items()}
+            for pattern, by_method in per_pattern.items()
+        },
+        "overall": overall,
+        "std_convention": "sample std (ddof=1) across (dataset, replicate) groups",
+        "convergence": {
+            method: {
+                pattern: {
+                    "converged_frac": float(np.mean([c for c, _ in pairs])),
+                    "mean_iterations": float(np.mean([i for _, i in pairs])),
+                    "n_cells": len(pairs),
+                }
+                for pattern, pairs in by_pattern.items()
+            }
+            for method, by_pattern in runs.items()
+        },
+    }
+
+
+class _FailsOnPanel(Imputer):
+    """Test-only col-mean that fails in the panel groups, so in a grid that
+    runs panel first it is scored after the methods listed after it."""
+
+    def run(self, ds, seed, shared=None):
+        if "/panel/" in seed.label:
+            raise RuntimeError("deliberate panel failure")
+        return super().run(ds, seed, shared)
+
+
+def test_aggregate_matches_the_three_walk_version_in_value_and_order():
+    # a dropped group (panel on one column), failed cells, methods with and
+    # without convergence diagnostics, and a method listed first but scored
+    # last; the patterns run in reverse alphabetical order
+    datasets = [_lfm_record("d0", 21), _lfm_record("d1", 22, n=1, k=1)]
+    methods = [
+        _FailsOnPanel(method="col-mean", name="mcar-only"),
+        make_imputer("col-mean"),
+        make_imputer("soft-impute"),
+        make_imputer("ice"),
+        _AlwaysFails(method="col-mean", name="broken"),
+    ]
+    with pytest.warns(UserWarning, match="groups dropped"):
+        report = run_benchmark(datasets, ["panel", "mcar"], methods, n_seeds=2, seed=23)
+    names = [m.name for m in methods]
+    assert report.dropped_groups and any(c["error"] for c in report.cells)
+    assert list(report.aggregates["per_pattern"]) == ["panel", "mcar"]
+    assert list(report.aggregates["convergence"]) == ["soft-impute", "ice"]
+    assert list(report.aggregates["overall"]) == names[:4]
+    # no sort_keys: the order of every dict counts
+    assert json.dumps(report.aggregates) == json.dumps(
+        _three_walk_aggregate(report.cells, names))
 
 
 def test_nn_mnar_cells_leave_every_other_cell_as_it_is():

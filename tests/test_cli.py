@@ -8,7 +8,7 @@ import pytest
 from imputebench.bench import load_csv, load_mask_csv, read_data_csv, save_csv
 from imputebench.cli import _parse_cols, _parse_range, build_parser, main
 from imputebench.featurize import featurized_ridge_peak_bytes
-from imputebench.imputers import METHOD_DEFAULTS, knn_peak_bytes
+from imputebench.imputers import METHOD_DEFAULTS, Imputer, knn_peak_bytes
 from imputebench.missingness import PATTERN_DEFAULTS, nn_mnar_peak_bytes
 
 
@@ -515,7 +515,7 @@ def test_impute_oversize_exits_two(tmp_path, capsys, monkeypatch):
     for flags, who, what, need in (
         (["--method", "knn"], "'knn'", knn, knn_peak_bytes(20)),
         (["--method", "ensemble", "--base-a", "knn"], "'ensemble'", knn, knn_peak_bytes(20)),
-        (["--method", "ensemble"], "'ensemble'", ridge, featurized_ridge_peak_bytes(20, 6)),
+        (["--method", "ensemble"], "'ensemble'", ridge, featurized_ridge_peak_bytes(20, 6, 4)),
         (["--method", "featurized-ridge"], "'featurized-ridge'", ridge,
          featurized_ridge_peak_bytes(20, 6)),
     ):
@@ -534,6 +534,28 @@ def test_impute_oversize_exits_two(tmp_path, capsys, monkeypatch):
     assert impute("--method", "featurized-ridge") == 0 and out.exists()
 
 
+def test_impute_refuses_an_ensemble_too_large_for_memory_before_it_draws(tmp_path, capsys,
+                                                                        monkeypatch):
+    import imputebench.bench as bench
+
+    data = _gen_dataset(tmp_path, name="d.csv")  # 20 x 6
+    mask, out = tmp_path / "m.csv", tmp_path / "o.csv"
+    assert main(["mask", "--data", str(data), "--pattern", "mcar", "--out", str(mask)]) == 0
+    # 10 million assignments need about 28 GB, more than the 1 GiB budget set
+    # here on any host; the refusal comes before a permutation is drawn
+    monkeypatch.setattr(bench, "_physical_memory", lambda: 2**30)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ensemble ran")
+
+    monkeypatch.setattr(Imputer, "run", no_run)
+    assert main(["impute", "--data", str(data), "--mask", str(mask), "--method", "ensemble",
+                 "--perms", "10000000", "--out", str(out)]) == 2
+    need = featurized_ridge_peak_bytes(20, 6, 10_000_000)
+    assert f"method 'ensemble' needs {need:,} bytes of featurized ridge" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "o.csv.json").exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--method", "soft-impute", "--lambda", "nan"], "lam must be >= 0, got nan"),
     (["--method", "soft-impute", "--lambda", "-1"], "lam must be >= 0, got -1.0"),
@@ -548,6 +570,10 @@ def test_impute_oversize_exits_two(tmp_path, capsys, monkeypatch):
      "at 0 for every table"),
     (["--method", "soft-impute", "--tol", "nan"], "tol must be finite and >= 0, got nan"),
     (["--method", "ice", "--tol", "inf"], "tol must be finite and >= 0, got inf"),
+    (["--method", "soft-impute", "--lambda", "inf"], "lam must be finite, got inf"),
+    (["--method", "ice", "--ridge-lambda", "inf"], "ridge penalty must be finite, got inf"),
+    (["--method", "featurized-ridge", "--ridge-lambda", "inf"],
+     "ridge penalty must be finite, got inf"),
 ])
 def test_impute_refuses_a_negative_or_nan_penalty(tmp_path, capsys, monkeypatch, flags,
                                                   message):

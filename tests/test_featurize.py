@@ -16,6 +16,7 @@ from imputebench.featurize import (
     _side_block,
 )
 from imputebench.imputers import _featurized_ridge_fit, impute_featurized_ridge, make_imputer
+from imputebench.missingness import PatternSpec, generate
 
 
 def _masked(values, indicator):
@@ -222,38 +223,64 @@ def test_ridge_rejects_negative_penalty():
 
 @pytest.mark.parametrize("shape", [(150, 40), (40, 150), (300, 20), (60, 60)])
 @pytest.mark.parametrize("ridge_lambda", [0.0, 1e-3])
-@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("k", [1, 4, 1000])
 def test_featurized_ridge_peak_bytes_bounds_the_traced_peak(shape, ridge_lambda, k):
-    # an upper bound that is not loose: the plain fit and the ensemble's
-    # four-assignment average peak at 0.44-0.66 of it here
+    # an upper bound that is not loose: the plain fit and the averages over
+    # 4 and 1,000 assignments peak at 0.42-0.63 of it here
     rng = np.random.default_rng(18)
     m, n = shape
     truth = rng.normal(size=(m, 3)) @ rng.normal(size=(3, n)) + 0.1 * rng.normal(size=shape)
     ft = build_features(_masked(truth, (rng.random(shape) < 0.7).astype(np.uint8)))
-    positions = None if k == 1 else [
-        (np.argsort(rng.permutation(m)), np.argsort(rng.permutation(n))) for _ in range(k)
-    ]
+    perms = [(rng.permutation(m), rng.permutation(n)) for _ in range(k)]
+
+    def fit():
+        # the positions are made inside the trace, as the ensemble makes them
+        positions = None if k == 1 else [(np.argsort(r), np.argsort(c)) for r, c in perms]
+        return _ridge_fit_predict(ft, ridge_lambda, positions)
+
     if ridge_lambda == 0:
         # the fit refuses the penalty before it allocates; the bound, from
         # the shape alone, does not read it
         with pytest.raises(ValueError, match=ZERO_PENALTY):
-            _ridge_fit_predict(ft, ridge_lambda, positions)
+            fit()
         return
-    _ridge_fit_predict(ft, ridge_lambda, positions)  # warm up
+    fit()  # warm up
     tracemalloc.start()
     try:
-        _ridge_fit_predict(ft, ridge_lambda, positions)
+        fit()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = featurized_ridge_peak_bytes(m, n)
+    bound = featurized_ridge_peak_bytes(m, n, k)
+    assert 0.4 * bound <= peak <= bound, peak / bound
+
+
+@pytest.mark.parametrize("k", [4, 1000])
+def test_featurized_ridge_peak_bytes_bounds_the_ensembles_traced_peak(k):
+    # the ensemble also holds the k permutations it draws; on a 150 x 40
+    # mcar input it peaks at 0.43 (k = 4) and 0.66 (k = 1,000) of the bound
+    rng = np.random.default_rng(19)
+    truth = rng.normal(size=(150, 3)) @ rng.normal(size=(3, 40))
+    mask = generate(PatternSpec("mcar", SeedSpec(19, "mcar")), DataMatrix(truth))
+    ds = apply_mask(DataMatrix(truth), mask)
+    ensemble = make_imputer("ensemble", base_b="col-mean", n_perms=k)
+    ensemble.run(ds, SeedSpec(19, "ensemble"))  # warm up
+    tracemalloc.start()
+    try:
+        ensemble.run(ds, SeedSpec(19, "ensemble"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = featurized_ridge_peak_bytes(150, 40, k)
     assert 0.4 * bound <= peak <= bound, peak / bound
 
 
 def test_featurized_ridge_peak_bytes_counts_the_solved_width():
-    # p = min(m, 2n) + min(n, 2m)
-    assert featurized_ridge_peak_bytes(3000, 20) == 32 * 60**2 + 128 * 60000
-    assert featurized_ridge_peak_bytes(8, 40) == 32 * 24**2 + 128 * 320
+    # p = min(m, 2n) + min(n, 2m), and 64 bytes per row, column and shared
+    # coefficient for each of the k assignments
+    assert featurized_ridge_peak_bytes(3000, 20) == 32 * 60**2 + 128 * 60000 + 64 * 3080
+    assert featurized_ridge_peak_bytes(8, 40) == 32 * 24**2 + 128 * 320 + 64 * 72
+    assert featurized_ridge_peak_bytes(8, 40, 1000) == 32 * 24**2 + 128 * 320 + 64_000 * 72
 
 
 def test_ridge_train_fit_dimensions():

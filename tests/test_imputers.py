@@ -898,6 +898,18 @@ def test_penalties_must_be_non_negative(tag, key, name, penalty):
     make_imputer(tag, **{key: 0.5}).run(ds, SEED)
 
 
+@pytest.mark.parametrize("tag, key, name", [
+    ("soft-impute", "lam", "lam"),
+    ("ice", "ridge_lambda", "ridge penalty"),
+    ("featurized-ridge", "ridge_lambda", "ridge penalty"),
+])
+def test_penalties_must_be_finite(tag, key, name):
+    # an infinite penalty would run and put Infinity, which is not JSON,
+    # into the diagnostics
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite, got inf")):
+        make_imputer(tag, **{key: float("inf")})
+
+
 def test_featurized_ridge_needs_a_positive_penalty():
     # zero is a valid ICE penalty but leaves featurized ridge's normal
     # equations singular for every table
