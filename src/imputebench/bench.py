@@ -39,7 +39,14 @@ import numpy as np
 from .core import DataMatrix, Mask, MaskedDataset, SeedSpec, apply_mask
 from .featurize import featurized_ridge_peak_bytes
 from .imputers import Imputer, knn_peak_bytes, run_shared
-from .missingness import MASK_STREAM, PatternSpec, generate, nn_mnar_peak_bytes
+from .missingness import (
+    MASK_STREAM,
+    PatternSpec,
+    cluster_peak_bytes,
+    generate,
+    latent_factor_peak_bytes,
+    nn_mnar_peak_bytes,
+)
 from .scheduler import ProportionState, uniform_state
 from .scheduler import step as scheduler_step
 
@@ -195,7 +202,8 @@ def discover_datasets(path: Union[str, Path]) -> list[DatasetRecord]:
     """Load every dataset under a directory, or the entries of a JSON manifest.
 
     A manifest is {"datasets": [{"name": ..., "path": ...}, ...]} with paths
-    resolved relative to the manifest file.
+    resolved relative to the manifest file; both are strings, and the name
+    may be left out (the file's stem).
     """
     path = Path(path)
     if not path.exists():
@@ -214,6 +222,9 @@ def discover_datasets(path: Union[str, Path]) -> list[DatasetRecord]:
         for entry in entries:
             if not isinstance(entry, dict) or "path" not in entry:
                 raise DatasetFormatError(f"{path}: manifest entry {entry!r} has no 'path'")
+            if not all(isinstance(entry[k], str) for k in ("path", "name") if k in entry):
+                raise DatasetFormatError(
+                    f"{path}: manifest entry {entry!r}: 'path' and 'name' must be strings")
             csv_path = Path(entry["path"])
             if not csv_path.is_absolute():
                 csv_path = path.parent / csv_path
@@ -575,10 +586,12 @@ def refuse_oversize(
     ``shapes`` maps each dataset name to its (rows, cols). The bounded needs are knn's m x m
     arrays (``knn_peak_bytes``) and featurized ridge's normal equations
     (``featurized_ridge_peak_bytes``), as a method or as an ensemble base,
-    which fits the ensemble's ``n_perms`` index assignments at once, and
-    nn-mnar's neighborhood arrays at the upper ends of its resolved ranges
-    (``nn_mnar_peak_bytes``). They are checked in that order and the first
-    that does not fit is reported.
+    which fits the ensemble's ``n_perms`` index assignments at once, then,
+    pattern by pattern, nn-mnar's neighborhood arrays at the upper ends of
+    its resolved ranges (``nn_mnar_peak_bytes``), latent-factor's factors at
+    ``k_high`` (``latent_factor_peak_bytes``) and cluster's effects at its
+    cluster counts (``cluster_peak_bytes``). They are checked in that order
+    and the first that does not fit is reported.
     """
     knn, ridge = [], []  # needs: (who, what, bytes for an m x n dataset)
     for imputer in methods:
@@ -592,14 +605,22 @@ def refuse_oversize(
             elif run.method == "featurized-ridge":
                 ridge.append((who, "featurized ridge normal equations",
                               partial(featurized_ridge_peak_bytes, k=k)))
-    nn_mnar = [
-        (f"pattern {spec.pattern!r}", "neighborhood arrays",
-         partial(nn_mnar_peak_bytes, size_hi=spec.params["neighborhood_size_range"][1],
-                 width_hi=spec.params["width_range"][1]))
-        for spec in patterns if spec.pattern == "nn-mnar"
-    ]
+    mask_needs = []
+    for spec in patterns:
+        who, p = f"pattern {spec.pattern!r}", spec.params
+        if spec.pattern == "nn-mnar":
+            mask_needs.append((who, "neighborhood arrays", partial(
+                nn_mnar_peak_bytes, size_hi=p["neighborhood_size_range"][1],
+                width_hi=p["width_range"][1])))
+        elif spec.pattern == "latent-factor":
+            mask_needs.append((who, "latent factors",
+                          partial(latent_factor_peak_bytes, k_high=p["k_high"])))
+        elif spec.pattern == "cluster":
+            mask_needs.append((who, "cluster effects", partial(
+                cluster_peak_bytes, n_row_clusters=p["n_row_clusters"],
+                n_col_clusters=p["n_col_clusters"])))
     budget = _physical_memory()
-    for who, what, peak in knn + ridge + nn_mnar:
+    for who, what, peak in knn + ridge + mask_needs:
         name = max(shapes, key=lambda d: peak(*shapes[d]))
         need = at_once * peak(*shapes[name])
         if budget is not None and need > budget:

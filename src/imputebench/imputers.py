@@ -440,34 +440,27 @@ class EnsembleSpec:
         _check_n_perms(self.n_perms)
 
 
-# Tag order is METHOD_TAGS order; the ensemble, which builds on the others, is last.
-_IMPUTERS = {
-    "col-mean": impute_col_mean,
-    "knn": impute_knn,
-    "soft-impute": impute_soft,
-    "ice": impute_ice,
-    "featurized-ridge": impute_featurized_ridge,
+# Each method's imputer and its check of the parameters it can judge without
+# the table, which the imputer runs first; col-mean has no parameter. Tag
+# order is METHOD_TAGS order; the ensemble, which builds on the others, is
+# last, and is run by ``ensemble.blend`` with EnsembleSpec as its check.
+_METHODS = {
+    "col-mean": (impute_col_mean, None),
+    "knn": (impute_knn, _check_knn),
+    "soft-impute": (impute_soft, _check_soft),
+    "ice": (impute_ice, _check_ice),
+    "featurized-ridge": (impute_featurized_ridge, _check_ridge_penalty),
+    "ensemble": (None, EnsembleSpec),
 }
 
 # Each method's parameters and defaults, as its imputer's signature states
 # them (the ensemble's: the fields of EnsembleSpec).
 METHOD_DEFAULTS: dict[str, dict] = {
-    **{tag: signature_defaults(fn) for tag, fn in _IMPUTERS.items()},
-    "ensemble": {f.name: f.default for f in fields(EnsembleSpec)},
+    tag: signature_defaults(fn) if fn else {f.name: f.default for f in fields(EnsembleSpec)}
+    for tag, (fn, _) in _METHODS.items()
 }
 
 METHOD_TAGS = tuple(METHOD_DEFAULTS)
-
-# Each method's check of the parameters it can judge without the table, by
-# name; its imputer calls it first (the ensemble's is EnsembleSpec's own).
-# col-mean has no parameter.
-_CHECKS = {
-    "knn": _check_knn,
-    "soft-impute": _check_soft,
-    "ice": _check_ice,
-    "featurized-ridge": _check_ridge_penalty,
-    "ensemble": EnsembleSpec,
-}
 
 # Methods whose result commutes with row and column permutations of the input.
 # Left out: featurized-ridge (z-scored index features move it by ~6e-3; the
@@ -488,8 +481,9 @@ class Imputer:
 
     def __post_init__(self):
         params = resolve_params("method", self.method, self.params, METHOD_DEFAULTS)
-        if self.method in _CHECKS:
-            _CHECKS[self.method](**params)
+        check = _METHODS[self.method][1]
+        if check is not None:
+            check(**params)
         object.__setattr__(self, "params", params)
         if not self.name:
             object.__setattr__(self, "name", self.method)
@@ -499,14 +493,15 @@ class Imputer:
     ) -> ImputationResult:
         """Impute ``ds``. ``shared`` reaches only the ensemble, which runs its
         equivariant bases through ``run_shared`` with it."""
-        if self.method == "ensemble":
+        impute = _METHODS[self.method][0]
+        if impute is None:  # the ensemble
             # Lazy import: the ensembler builds on this registry.
             from .ensemble import blend
 
             return blend(ds, EnsembleSpec(**self.params), seed, shared)
         if self.method == "ice":
-            return impute_ice(ds, **self.params, seed=seed)
-        return _IMPUTERS[self.method](ds, **self.params)
+            return impute(ds, **self.params, seed=seed)
+        return impute(ds, **self.params)
 
 
 def make_imputer(method: str, name: str = "", **params) -> Imputer:

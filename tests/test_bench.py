@@ -43,7 +43,9 @@ from imputebench.missingness import (
     MASK_STREAM,
     PATTERN_TAGS,
     PatternSpec,
+    cluster_peak_bytes,
     generate,
+    latent_factor_peak_bytes,
     nn_mnar_peak_bytes,
 )
 
@@ -208,6 +210,18 @@ def test_discover_datasets_directory_and_manifest(tmp_path):
 
     with pytest.raises(DatasetFormatError):
         discover_datasets(tmp_path / "missing-dir.json")
+
+
+@pytest.mark.parametrize("entry", [{"path": 5}, {"name": ["x"], "path": "b.csv"},
+                                   {"name": None, "path": "b.csv"}])
+def test_a_manifest_entry_needs_a_string_path_and_name(tmp_path, entry):
+    save_csv(np.ones((3, 2)), tmp_path / "b.csv")
+    manifest = tmp_path / "mf.json"
+    manifest.write_text(json.dumps({"datasets": [{"path": "b.csv"}, entry]}))
+    with pytest.raises(DatasetFormatError) as err:
+        discover_datasets(manifest)
+    assert str(err.value) == (f"{manifest}: manifest entry {entry!r}: "
+                              "'path' and 'name' must be strings")
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +550,7 @@ def _count_soft_impute(monkeypatch, fail=False):
             raise RuntimeError("soft-impute failed")
         return real(ds, **params)
 
-    monkeypatch.setitem(imputers._IMPUTERS, "soft-impute", counting)
+    monkeypatch.setitem(imputers._METHODS, "soft-impute", (counting, imputers._check_soft))
     return calls
 
 
@@ -850,6 +864,34 @@ def test_oversize_nn_mnar_is_refused_before_any_group_runs(monkeypatch):
     run_benchmark([small, wide], ["mcar", "panel"], methods, n_seeds=2, jobs=2)
 
 
+@pytest.mark.parametrize("pattern, what, need", [
+    (("latent-factor", {"k_high": 10**9}), "latent factors",
+     latent_factor_peak_bytes(30, 8, 10**9)),
+    (("cluster", {"n_row_clusters": 10**10}), "cluster effects",
+     cluster_peak_bytes(30, 8, 10**10, 4)),
+], ids=["latent-factor", "cluster"])
+def test_oversize_latent_factor_or_cluster_is_refused_before_any_group_runs(
+        monkeypatch, pattern, what, need):
+    record = _lfm_record("d0", 24)  # 30 x 8
+
+    def no_group(*args):
+        raise AssertionError("a group ran")
+
+    methods = [make_imputer("col-mean"), make_imputer("soft-impute")]
+    monkeypatch.setattr(bench, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(bench, "_run_group", no_group)
+    with pytest.raises(ValueError) as err:
+        run_benchmark([record], ["mcar", pattern], methods, n_seeds=1)
+    message = str(err.value)
+    assert f"pattern {pattern[0]!r} needs {need:,} bytes of {what}" in message
+    assert "'d0' (30x8)" in message
+    # at its defaults the pattern fits a small budget
+    monkeypatch.undo()
+    monkeypatch.setattr(bench, "_physical_memory", lambda: 2**20)
+    report = run_benchmark([record], [pattern[0]], methods, n_seeds=1)
+    assert len(report.cells) == 2
+
+
 def test_oversize_featurized_ridge_is_refused_before_any_group_runs(monkeypatch):
     small, wide = _lfm_record("d0", 24), _lfm_record("d1", 25, m=20, n=40)
     ridge = make_imputer("featurized-ridge", name="fr")
@@ -967,6 +1009,26 @@ _BAD_PARAMETERS = [
      "need 1 <= k_low <= k_high, got (3, 1)"),
     ("pattern", "nn-mnar", {"neighborhood_size_range": (5, 2)},
      "neighborhood_size_range must be a nonempty positive range, got (5, 2)"),
+    ("pattern", "col-mar", {"predictor_fraction": 1.0},
+     "predictor_fraction must be in (0, 1), got 1.0"),
+    ("pattern", "self-masking", {"target_cols": ()}, "target_cols must not be empty"),
+    ("pattern", "censoring", {"q_censor": 0.5}, "q_censor must be in [0, 0.5), got 0.5"),
+    ("pattern", "polarization-hard", {"q_thresh": 0.0}, "q_thresh must be in (0, 0.5), got 0.0"),
+    ("pattern", "polarization-soft", {"eps": 0.5}, "eps must be in (0, 0.5), got 0.5"),
+    ("pattern", "polarization-soft", {"alpha": float("nan")}, "alpha must be positive, got nan"),
+    ("pattern", "polarization-soft", {"alpha": float("inf")}, "alpha must be finite, got inf"),
+    ("pattern", "cluster", {"n_row_clusters": 0}, "cluster counts must be >= 1"),
+    ("pattern", "cluster", {"tau_c": -1.0}, "effect scales must be >= 0"),
+    ("pattern", "cluster", {"eps_std": float("nan")}, "eps_std must be finite, got nan"),
+    ("pattern", "cluster", {"tau_r": float("nan")}, "tau_r must be finite, got nan"),
+    ("pattern", "cluster", {"tau_c": float("inf")}, "tau_c must be finite, got inf"),
+    ("pattern", "two-phase", {"f_cheap": 1.0}, "f_cheap must be in (0, 1), got 1.0"),
+    ("pattern", "two-phase", {"alpha": float("nan")}, "alpha must be finite, got nan"),
+    ("pattern", "two-phase", {"beta": float("-inf")}, "beta must be finite, got -inf"),
+    ("pattern", "seq", {"reward_noise_scale": float("nan")},
+     "reward_noise_scale must be finite, got nan"),
+    ("pattern", "seq", {"reward_noise_scale": float("inf")},
+     "reward_noise_scale must be finite, got inf"),
 ]
 
 
@@ -987,12 +1049,12 @@ def test_a_bad_parameter_is_refused_when_built_when_run_and_before_any_group(
             if tag == "ensemble":
                 permutation_ensemble(make_imputer("col-mean"), ds, seed=seed, **params)
             else:
-                imputers._IMPUTERS[tag](ds, **params)
+                imputers._METHODS[tag][0](ds, **params)
     else:
         with refused:
             PatternSpec(tag, seed, params)
         with refused:
-            missingness._GENERATORS[tag](record.matrix, **params, seed=seed)
+            missingness._PATTERNS[tag][0](record.matrix, **params, seed=seed)
 
     def no_group(*args):
         raise AssertionError("a group ran")

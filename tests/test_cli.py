@@ -9,7 +9,12 @@ from imputebench.bench import load_csv, load_mask_csv, read_data_csv, save_csv
 from imputebench.cli import _parse_cols, _parse_range, build_parser, main
 from imputebench.featurize import featurized_ridge_peak_bytes
 from imputebench.imputers import METHOD_DEFAULTS, Imputer, knn_peak_bytes
-from imputebench.missingness import PATTERN_DEFAULTS, nn_mnar_peak_bytes
+from imputebench.missingness import (
+    PATTERN_DEFAULTS,
+    cluster_peak_bytes,
+    latent_factor_peak_bytes,
+    nn_mnar_peak_bytes,
+)
 
 
 def _gen_dataset(tmp_path, name="data.csv", rows=20, cols=6, rank=2, seed=5):
@@ -336,6 +341,13 @@ def test_impute_flag_group_is_pinned():
     ("impute", ["--method", "ensemble", "--base-b", "nope"], "unknown base method 'nope'"),
     ("mask", ["--pattern", "seq", "--algorithm", "softmax"],
      "unknown bandit algorithm 'softmax'"),
+    ("mask", ["--pattern", "cluster", "--eps-std", "nan"], "eps_std must be finite, got nan"),
+    ("mask", ["--pattern", "cluster", "--tau-r", "nan"], "tau_r must be finite, got nan"),
+    ("mask", ["--pattern", "seq", "--reward-noise-scale", "nan"],
+     "reward_noise_scale must be finite, got nan"),
+    ("mask", ["--pattern", "two-phase", "--alpha", "nan"], "alpha must be finite, got nan"),
+    ("mask", ["--pattern", "polarization-soft", "--alpha", "inf"],
+     "alpha must be finite, got inf"),
 ])
 def test_bad_tag_parameter_exits_two_without_output(tmp_path, capsys, command, flags,
                                                      message):
@@ -498,6 +510,28 @@ def test_mask_oversize_nn_mnar_exits_two(tmp_path, capsys, monkeypatch):
     # the flags are resolved before the check
     assert main(argv + ["--neighborhood-size-range", "3:9"]) == 2
     assert f"needs {nn_mnar_peak_bytes(20, 6, 9, 16):,} bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, need", [
+    (["--pattern", "latent-factor", "--k-high", "1000000000"],
+     latent_factor_peak_bytes(20, 6, 10**9)),
+    (["--pattern", "cluster", "--n-row-clusters", "10000000000"],
+     cluster_peak_bytes(20, 6, 10**10, 4)),
+], ids=["latent-factor", "cluster"])
+def test_mask_oversize_latent_factor_or_cluster_exits_two(tmp_path, capsys, monkeypatch,
+                                                          flags, need):
+    import imputebench.bench as bench
+
+    data = _gen_dataset(tmp_path)  # 20 x 6
+    out = tmp_path / "m.csv"
+    monkeypatch.setattr(bench, "_physical_memory", lambda: need - 1)
+    assert main(["mask", "--data", str(data), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"pattern {flags[1]!r} needs {need:,} bytes" in err and "20x6" in err
+    assert not out.exists() and not (tmp_path / "m.csv.json").exists()
+    # at its defaults the pattern fits a small budget
+    monkeypatch.setattr(bench, "_physical_memory", lambda: 2**20)
+    assert main(["mask", "--data", str(data), *flags[:2], "--out", str(out)]) == 0
 
 
 def test_impute_oversize_exits_two(tmp_path, capsys, monkeypatch):
@@ -678,6 +712,22 @@ def test_manifest_that_is_not_an_object_exits_two_naming_the_file(tmp_path, caps
         "--methods", "col-mean,knn", "--out", str(tmp_path / "o"),
     ]) == 2
     assert str(manifest) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [{"path": 5}, {"name": ["x"], "path": "datasets/d.csv"}])
+def test_manifest_entry_with_a_non_string_path_or_name_exits_two(tmp_path, capsys, entry):
+    data_dir = tmp_path / "datasets"
+    data_dir.mkdir()
+    _gen_dataset(data_dir, name="d.csv")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"datasets": [entry]}))
+    assert main([
+        "bench", "--datasets", str(manifest), "--patterns", "mcar",
+        "--methods", "col-mean,knn", "--out", str(tmp_path / "o"),
+    ]) == 2
+    assert f"manifest entry {entry!r}: 'path' and 'name' must be strings" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_internal_key_error_is_not_a_configuration_error(tmp_path, monkeypatch):

@@ -490,6 +490,38 @@ def test_nn_mnar_peak_bytes_bounds_the_traced_peak(shape, size, width, n_layers)
         *shape, sum(shape) - 1, width)
 
 
+def _traced_peak(fn, *args, **kwargs):
+    """Peak bytes traced while ``fn`` runs, after one warm-up call."""
+    fn(*args, **kwargs)
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", [(1000, 20), (300, 50)])
+@pytest.mark.parametrize("k", [1, 100, 1000])
+def test_latent_factor_peak_bytes_bounds_the_traced_peak(shape, k):
+    # an upper bound that is not loose: the generator peaks at 0.76-0.98 of it here
+    peak = _traced_peak(mg.gen_latent_factor, _random_matrix(*shape, 33), k_low=k,
+                        k_high=k, seed=SeedSpec(3, "peak-bytes"))
+    bound = mg.latent_factor_peak_bytes(*shape, k)
+    assert 0.6 * bound <= peak <= bound, peak / bound
+
+
+@pytest.mark.parametrize("shape", [(1000, 20), (300, 50)])
+@pytest.mark.parametrize("clusters", [(5, 4), (1000, 1000), (100_000, 10)])
+def test_cluster_peak_bytes_bounds_the_traced_peak(shape, clusters):
+    # an upper bound that is not loose: the generator peaks at 0.81-0.92 of it here
+    rows, cols = clusters
+    peak = _traced_peak(mg.gen_cluster, _random_matrix(*shape, 34), n_row_clusters=rows,
+                        n_col_clusters=cols, seed=SeedSpec(4, "peak-bytes"))
+    bound = mg.cluster_peak_bytes(*shape, rows, cols)
+    assert 0.6 * bound <= peak <= bound, peak / bound
+
+
 # ---------------------------------------------------------------------------
 # Self-masking
 # ---------------------------------------------------------------------------
@@ -1119,7 +1151,7 @@ def test_generate_resamples_then_errors(monkeypatch):
         calls.append(seed)
         return Mask(np.zeros(truth.shape, dtype=np.uint8))
 
-    monkeypatch.setitem(mg._GENERATORS, "mcar", fully_missing)
+    monkeypatch.setitem(mg._PATTERNS, "mcar", (fully_missing, mg._check_mcar))
     spec = mg.PatternSpec("mcar", SeedSpec(0, "resample"))
     with pytest.raises(DegenerateMaskError):
         mg.generate(spec, X)
