@@ -12,6 +12,8 @@ thread, so the cells do not depend on the machine's core count either. That
 set is enough: a grid calls only numpy's BLAS, which numpy loads at import.
 A BLAS that cannot be pinned keeps its own thread count, as before, and a
 host program's other threads also see one BLAS thread while a grid runs.
+With ``jobs`` > 1 the groups run in forked worker processes, which inherit
+the pin; where ``fork`` is unavailable they run one after another.
 Wall-clock timings are reported in a sidecar array rather than inside the
 cells, which keeps the cells byte-identical across reruns.
 """
@@ -24,15 +26,16 @@ import hashlib
 import itertools
 import json
 import os
+import signal
+import sys
 import threading
 import time
 import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -92,7 +95,11 @@ class DatasetRecord:
 
 
 def read_data_csv(path: Union[str, Path]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Parse a data CSV (header + numeric cells; empty cell = missing NaN)."""
+    """Parse a data CSV (header + numeric cells; empty cell = missing NaN).
+
+    ``np.loadtxt`` parses the cells in one pass; where it refuses them, the
+    per-cell loop reads the file again, accepting what ``float`` accepts and
+    naming a bad cell."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -100,29 +107,69 @@ def read_data_csv(path: Union[str, Path]) -> tuple[np.ndarray, tuple[str, ...]]:
             header = next(reader)
         except StopIteration:
             raise DatasetFormatError(f"{path}: file is empty") from None
-        rows = []
-        for r, row in enumerate(reader):
-            if len(row) != len(header):
+        values = _loadtxt_cells(fh, len(header))
+        if values is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            values = _parse_cells(path, reader, header)
+    return values, tuple(h.strip() for h in header)
+
+
+def _loadtxt_cells(lines: Iterable[str], n_cols: int) -> Optional[np.ndarray]:
+    """The rows of ``lines`` through ``np.loadtxt``, or None where it refuses
+    them, reads another column count, or meets a blank line, which it would
+    skip and the csv rows count. It parses a number as ``float`` does, so
+    the bits are the same; the text it refuses and ``float`` accepts (an
+    empty cell, ``1_000``, quotes, non-ASCII digits) is left to
+    ``_parse_cells``. The lines are read one at a time, not held."""
+    lines = iter(lines)
+    first = next(lines, "")
+    if not first.strip("\r\n"):  # no rows, on which loadtxt warns, or a blank one
+        return None
+    blank = False
+
+    def rows():
+        nonlocal blank
+        yield first
+        for line in lines:
+            if not line.strip("\r\n"):
+                blank = True
+                return
+            yield line
+
+    try:
+        values = np.loadtxt(rows(), delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    return None if blank or values.shape[1] != n_cols else values
+
+
+def _parse_cells(path: Path, reader: Iterable[list[str]], header: list[str]) -> np.ndarray:
+    """The csv rows of ``reader``, one ``float`` at a time."""
+    rows = []
+    for r, row in enumerate(reader):
+        if len(row) != len(header):
+            raise DatasetFormatError(
+                f"{path}: row {r} has {len(row)} cells, header has {len(header)}"
+            )
+        parsed = []
+        for c, cell in enumerate(row):
+            text = cell.strip()
+            if text == "":
+                parsed.append(np.nan)
+                continue
+            try:
+                parsed.append(float(text))
+            except ValueError:
                 raise DatasetFormatError(
-                    f"{path}: row {r} has {len(row)} cells, header has {len(header)}"
-                )
-            parsed = []
-            for c, cell in enumerate(row):
-                text = cell.strip()
-                if text == "":
-                    parsed.append(np.nan)
-                    continue
-                try:
-                    parsed.append(float(text))
-                except ValueError:
-                    raise DatasetFormatError(
-                        f"{path}: non-numeric cell at row {r}, column "
-                        f"{header[c]!r}: {cell!r}"
-                    ) from None
-            rows.append(parsed)
+                    f"{path}: non-numeric cell at row {r}, column "
+                    f"{header[c]!r}: {cell!r}"
+                ) from None
+        rows.append(parsed)
     if not rows:
         raise DatasetFormatError(f"{path}: no data rows")
-    return np.array(rows, dtype=float), tuple(h.strip() for h in header)
+    return np.array(rows, dtype=float)
 
 
 def load_csv(path: Union[str, Path], name: Optional[str] = None) -> DatasetRecord:
@@ -516,24 +563,20 @@ class _OneBlasThread:
     """Holds every loaded OpenBLAS at one thread and gives back the previous
     counts on exit, exceptions included. The thread count is process-wide,
     so there is one of these per process: grids that overlap, in one host
-    thread or several, share one pin and the last to leave restores."""
+    thread or several, share one pin and the last to leave restores. A
+    forked ``--jobs`` worker inherits the pinned count."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._depth = 0
         self._saved: list[tuple[Callable, int]] = []
 
-    def pin_this_thread(self) -> None:
-        """Pin again from a pool thread: an OpenMP build keeps the count per
-        calling thread."""
-        for set_, _ in self._saved:
-            set_(1)
-
     def __enter__(self) -> None:
         with self._lock:
             if self._depth == 0:
                 self._saved = [(set_, get()) for get, set_ in _openblas_thread_controls()]
-                self.pin_this_thread()
+                for set_, _ in self._saved:
+                    set_(1)
             self._depth += 1
 
     def __exit__(self, *exc) -> None:
@@ -545,6 +588,55 @@ class _OneBlasThread:
 
 
 _ONE_BLAS_THREAD = _OneBlasThread()
+
+
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+# In a --jobs worker process, the (tasks, run seed, methods) of the grid it
+# was forked for; it receives task indices only.
+_WORKER_GRID: tuple = ()
+
+
+def _start_worker(parent: int, tasks: list, seed: int, methods: Sequence[Imputer]) -> None:
+    """Initialize a forked ``--jobs`` worker: keep the grid, which fork hands
+    over without pickling, and, on Linux, ask for SIGKILL when the thread
+    that forked the worker ends, so that a worker does not outlive a killed
+    grid. A ``parent`` that died before the request was made is caught by
+    the parent pid check."""
+    if sys.platform.startswith("linux"):
+        libc = ctypes.CDLL(None, use_errno=True)
+        libc.prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+        libc.prctl.restype = ctypes.c_int
+        if libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+            raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:
+        os._exit(1)
+    global _WORKER_GRID
+    _WORKER_GRID = (tasks, seed, methods)
+
+
+def _run_task(index: int) -> tuple[list, list, Optional[dict]]:
+    tasks, seed, methods = _WORKER_GRID
+    return _run_group(*tasks[index], seed, methods)
+
+
+def _run_forked(tasks: list, seed: int, methods: Sequence[Imputer],
+                workers: int) -> list:
+    """Each task's ``_run_group`` result, in task order, from ``workers``
+    forked processes. Only task indices and results are pickled. An
+    exception a group raises reaches the caller with its type; a worker
+    that dies raises ``BrokenProcessPool``."""
+    # imported here: at module import multiprocessing would add ~14 ms to
+    # every command
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(os.getpid(), tasks, seed, methods),
+    ) as pool:
+        return list(pool.map(_run_task, range(len(tasks)),
+                             chunksize=max(1, len(tasks) // (4 * workers))))
 
 
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
@@ -587,11 +679,11 @@ def refuse_oversize(
     arrays (``knn_peak_bytes``) and featurized ridge's normal equations
     (``featurized_ridge_peak_bytes``), as a method or as an ensemble base,
     which fits the ensemble's ``n_perms`` index assignments at once, then,
-    pattern by pattern, nn-mnar's neighborhood arrays at the upper ends of
-    its resolved ranges (``nn_mnar_peak_bytes``), latent-factor's factors at
-    ``k_high`` (``latent_factor_peak_bytes``) and cluster's effects at its
-    cluster counts (``cluster_peak_bytes``). They are checked in that order
-    and the first that does not fit is reported.
+    pattern by pattern, nn-mnar's neighborhood arrays and layer weights at
+    the upper ends of its resolved ranges (``nn_mnar_peak_bytes``),
+    latent-factor's factors at ``k_high`` (``latent_factor_peak_bytes``) and
+    cluster's effects at its cluster counts (``cluster_peak_bytes``). They
+    are checked in that order and the first that does not fit is reported.
     """
     knn, ridge = [], []  # needs: (who, what, bytes for an m x n dataset)
     for imputer in methods:
@@ -609,9 +701,9 @@ def refuse_oversize(
     for spec in patterns:
         who, p = f"pattern {spec.pattern!r}", spec.params
         if spec.pattern == "nn-mnar":
-            mask_needs.append((who, "neighborhood arrays", partial(
+            mask_needs.append((who, "neighborhood arrays and layer weights", partial(
                 nn_mnar_peak_bytes, size_hi=p["neighborhood_size_range"][1],
-                width_hi=p["width_range"][1])))
+                width_hi=p["width_range"][1], layers_hi=p["layer_range"][1])))
         elif spec.pattern == "latent-factor":
             mask_needs.append((who, "latent factors",
                           partial(latent_factor_peak_bytes, k_high=p["k_high"])))
@@ -648,12 +740,16 @@ def run_benchmark(
 
     Output is deterministic for a fixed seed regardless of ``jobs``: group
     seeds derive from (seed, dataset name, pattern, replicate) and results
-    are assembled in canonical grid order. The groups run with every loaded
-    OpenBLAS set to one thread, so the cells do not depend on the machine's
-    core count; the caller's thread count is restored on return or raise.
-    A BLAS without that setter keeps its own count, as before. The setting
-    is process-wide, so the host program's other threads also see one BLAS
-    thread while the grid runs. A grid that would not fit in memory with
+    are assembled in canonical grid order. With ``jobs`` > 1, up to ``jobs``
+    forked worker processes run the groups (``_run_forked``); where the
+    platform cannot fork, the groups run one after another in this process.
+    A worker that dies raises ``BrokenProcessPool``. The groups run with
+    every loaded OpenBLAS set to one thread, so the cells do not depend on
+    the machine's core count; the caller's thread count is restored on
+    return or raise. A BLAS without that setter keeps its own count, as
+    before. The setting is process-wide, so the host program's other
+    threads also see one BLAS thread while the grid runs, and the workers
+    inherit it. A grid that would not fit in memory with
     ``jobs`` groups at once is refused up front (``refuse_oversize``), as is
     a bad parameter: ``Imputer`` checks a method's when it is built, and the
     grid builds each pattern's ``PatternSpec``, which checks it, before any
@@ -684,18 +780,13 @@ def run_benchmark(
         for spec in specs
         for replicate in range(n_seeds)
     ]
-    refuse_oversize({d.name: d.matrix.shape for d in datasets}, specs, methods,
-                    min(jobs, len(tasks)))
+    workers = min(jobs, len(tasks))
+    refuse_oversize({d.name: d.matrix.shape for d in datasets}, specs, methods, workers)
     with _ONE_BLAS_THREAD:
-        if jobs == 1:
+        if workers == 1 or not hasattr(os, "fork"):
             results = [_run_group(*task, seed, methods) for task in tasks]
         else:
-            with ThreadPoolExecutor(
-                max_workers=jobs, initializer=_ONE_BLAS_THREAD.pin_this_thread
-            ) as pool:
-                results = list(
-                    pool.map(lambda task: _run_group(*task, seed, methods), tasks)
-                )
+            results = _run_forked(tasks, seed, methods, workers)
 
     cells, seconds, dropped = [], [], []
     for group_cells, group_seconds, drop in results:

@@ -297,15 +297,19 @@ def _distinct_draws(pool: int, size: int, count: int,
     return rng.permuted(draws, axis=1, out=draws)
 
 
-def nn_mnar_peak_bytes(m: int, n: int, size_hi: int, width_hi: int) -> int:
+def nn_mnar_peak_bytes(m: int, n: int, size_hi: int, width_hi: int, layers_hi: int) -> int:
     """Bytes that ``gen_nn_mnar`` holds at once on an m x n matrix with
-    neighborhoods of at most ``size_hi`` cells and layers of at most
-    ``width_hi`` units, from the shapes alone: the (m·n, s) int64 cells and
-    float64 inputs, two (m·n, width) float64 layers, 64 bytes per cell of
-    propensities and calibration, and the repeat table. Under tracemalloc
-    the generator peaks at 0.67-0.96 of it at 1000 x 20 and 300 x 50."""
+    neighborhoods of at most ``size_hi`` cells and at most ``layers_hi``
+    hidden layers of at most ``width_hi`` units, from the shapes alone: the
+    (m·n, s) int64 cells and float64 inputs, two (m·n, width) float64
+    layers, 64 bytes per cell of propensities and calibration, the repeat
+    table, and each hidden layer's float64 weights and biases, drawn up
+    front, with 512 bytes for their array and tuple objects. Under
+    tracemalloc the generator peaks at 0.67-0.96 of it at 1000 x 20 and
+    300 x 50, and at 0.85 with 5,000 layers of 16 units on 20 x 6."""
     s = max(1, min(size_hi, m + n - 1))
-    return m * n * (16 * s + 16 * width_hi + 64) + _TAKEN_TABLE_BYTES
+    layers = layers_hi * (8 * width_hi * (width_hi + 1) + 512)
+    return m * n * (16 * s + 16 * width_hi + 64) + _TAKEN_TABLE_BYTES + layers
 
 
 def _nn_mnar_design(values: np.ndarray, p_missing: float,

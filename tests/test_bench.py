@@ -1,8 +1,12 @@
+import csv
 import gc
 import hashlib
+import io
 import json
+import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -14,6 +18,8 @@ from operator import attrgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imputebench import bench, imputers, missingness, scheduler
 from imputebench.bench import (
@@ -117,6 +123,54 @@ def test_load_csv_rejects_ragged_rows(tmp_path):
     p.write_text("a,b\n1,2,3\n")
     with pytest.raises(DatasetFormatError):
         load_csv(p)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("a,b\n1,\n", [[1.0, np.nan]]),
+    ("a,b\n1_000, 2 \n", [[1000.0, 2.0]]),
+    ('a,b\n"1.5",2\n', [[1.5, 2.0]]),
+    ("a,b\r\n1,2\r\n3,4", [[1.0, 2.0], [3.0, 4.0]]),
+    ("a,b\n#1,2\n", "non-numeric cell at row 0, column 'a': '#1'"),
+    ('a,b\n"1,5",2\n', "non-numeric cell at row 0, column 'a': '1,5'"),
+    ("a,b\n1,2\n\n3,4\n", "row 1 has 0 cells, header has 2"),
+    ("a,b\n1,2,3\n", "row 0 has 3 cells, header has 2"),
+    ("a,b\n", "no data rows"),
+    ("a,b\n\n", "row 0 has 0 cells, header has 2"),
+])
+def test_read_data_csv_cells(tmp_path, text, want):
+    # the text np.loadtxt refuses or reads differently (empty cells,
+    # underscores, quotes, blank lines) is read by the per-cell loop
+    p = tmp_path / "d.csv"
+    p.write_bytes(text.encode())
+    if isinstance(want, str):
+        with pytest.raises(DatasetFormatError, match=re.escape(want)):
+            read_data_csv(p)
+    else:
+        values, header = read_data_csv(p)
+        assert header == ("a", "b")
+        assert np.array_equal(values, np.array(want), equal_nan=True)
+
+
+_CELL_TEXT = "0123456789.-+eE_ nafiIN#\"\t\x1c\x00\u0661"
+_CELLS = st.one_of(st.sampled_from(["1", "-2.5", "1e3", " 4 ", "nan", "-inf", ""]),
+                   st.text(alphabet=_CELL_TEXT, max_size=5))
+_BODIES = st.one_of(
+    st.tuples(st.lists(st.lists(_CELLS, max_size=3).map(",".join), max_size=4),
+              st.sampled_from(["\n", "\r\n", "\r"]), st.booleans()
+              ).map(lambda t: t[1].join(t[0]) + t[1] * t[2]),
+    st.text(alphabet=_CELL_TEXT + ",\r\n", max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BODIES, st.integers(1, 3))
+def test_loadtxt_cells_match_the_loop_bit_for_bit_or_fall_back(body, n_cols):
+    # newline="" splits lines as a data file opened by read_data_csv does
+    fast = bench._loadtxt_cells(io.StringIO(body, newline=""), n_cols)
+    if fast is not None:
+        rows = csv.reader(io.StringIO(body, newline=""))
+        loop = bench._parse_cells(pathlib.Path("d.csv"), rows, ["x"] * n_cols)
+        assert np.array_equal(fast.view(np.int64), loop.view(np.int64))
 
 
 def test_save_load_round_trip_is_exact(tmp_path):
@@ -416,6 +470,72 @@ def test_grid_is_deterministic_across_parallelism():
     assert c1 == c8
 
 
+class _ReportsItsPid(Imputer):
+    """Column means, with the pid of the process that ran the group."""
+
+    def run(self, ds, seed):
+        result = imputers.impute_col_mean(ds)
+        result.diagnostics["pid"] = os.getpid()
+        return result
+
+
+def _without_pids(cells):
+    return [{**c, "diagnostics": {k: v for k, v in c["diagnostics"].items() if k != "pid"}}
+            for c in cells]
+
+
+def test_jobs_fork_workers_and_run_serially_where_fork_is_missing(monkeypatch):
+    datasets = [_lfm_record("d0", 4), _lfm_record("d1", 5)]
+    methods = [_ReportsItsPid(method="col-mean", name="pid"), make_imputer("soft-impute")]
+    kwargs = dict(patterns=["mcar", "panel"], n_seeds=2, seed=11)
+    serial = run_benchmark(datasets, methods=methods, jobs=1, **kwargs).cells
+    forked = run_benchmark(datasets, methods=methods, jobs=2, **kwargs).cells
+    assert {c["diagnostics"]["pid"] for c in serial if c["method"] == "pid"} == {os.getpid()}
+    assert os.getpid() not in {c["diagnostics"]["pid"] for c in forked if c["method"] == "pid"}
+    assert _without_pids(forked) == _without_pids(serial)
+    monkeypatch.delattr(os, "fork")
+    assert run_benchmark(datasets, methods=methods, jobs=2, **kwargs).cells == serial
+
+
+def test_two_host_threads_each_run_a_forked_grid():
+    # each grid forks its workers with its own tasks, even while another
+    # thread's grid is starting or running
+    datasets = [_lfm_record("d0", 4), _lfm_record("d1", 5)]
+    methods = [make_imputer("col-mean"), make_imputer("soft-impute")]
+    kwargs = dict(datasets=datasets, patterns=["mcar", "panel"], methods=methods, n_seeds=2)
+    want = [run_benchmark(seed=seed, jobs=1, **kwargs).cells for seed in (11, 12)]
+    got = [None, None]
+
+    def grid(i):
+        got[i] = run_benchmark(seed=11 + i, jobs=2, **kwargs).cells
+
+    threads = [threading.Thread(target=grid, args=(i,), daemon=True) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
+_TEST_PROCESS = os.getpid()
+
+
+class _KillsItsWorker(Imputer):
+    def run(self, ds, seed):
+        if os.getpid() == _TEST_PROCESS:
+            raise AssertionError("the group ran in the test process")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_a_dead_worker_raises_broken_process_pool():
+    from concurrent.futures.process import BrokenProcessPool
+
+    methods = [make_imputer("col-mean"), _KillsItsWorker(method="col-mean", name="killer")]
+    with pytest.raises(BrokenProcessPool):
+        run_benchmark([_lfm_record("d0", 4)], ["mcar", "panel"], methods, n_seeds=2, jobs=2)
+
+
 def test_convergence_summary_per_method_and_pattern():
     datasets = [_lfm_record("d0", 4), _lfm_record("d1", 5)]
     methods = [make_imputer("col-mean"), make_imputer("soft-impute"),
@@ -689,14 +809,16 @@ print(hashlib.sha256(json.dumps(report.cells, sort_keys=True).encode()).hexdiges
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_grid_runs_on_one_blas_thread_and_restores_the_count(jobs):
     controls = bench._openblas_thread_controls()
-    seen = []
 
     class Probe(Imputer):
-        """Records the OpenBLAS thread counts a method sees."""
+        """Reports the OpenBLAS thread counts a method sees in its cell's
+        diagnostics, which reach the caller from a worker process too."""
 
         def run(self, ds, seed):
-            seen.append([get() for get, _ in controls])
-            return imputers.impute_col_mean(ds)
+            result = imputers.impute_col_mean(ds)
+            result.diagnostics.update(
+                {f"blas_threads_{i}": get() for i, (get, _) in enumerate(controls)})
+            return result
 
     probe = Probe(method="col-mean", name="probe")
     before = [get() for get, _ in controls]
@@ -704,9 +826,12 @@ def test_grid_runs_on_one_blas_thread_and_restores_the_count(jobs):
         for _, set_ in controls:
             set_(2)
         caller = [get() for get, _ in controls]
-        run_benchmark([_lfm_record("d0", 22)], ["mcar", "panel"],
-                      [probe, make_imputer("col-mean")], n_seeds=2, seed=23,
-                      jobs=jobs)
+        report = run_benchmark([_lfm_record("d0", 22)],
+                               ["mcar", "panel", "cluster", "col-mar", "self-masking"],
+                               [probe, make_imputer("col-mean")], n_seeds=1, seed=23,
+                               jobs=jobs)
+        seen = [[c["diagnostics"][f"blas_threads_{i}"] for i in range(len(controls))]
+                for c in report.cells if c["method"] == "probe"]
         assert [get() for get, _ in controls] == caller
         with _no_user_warning(), pytest.raises(ValueError, match="dropped"):
             run_benchmark([_lfm_record("d0", 22)], ["mcar"],
@@ -833,10 +958,11 @@ def test_oversize_knn_is_refused_before_any_group_runs(monkeypatch):
 def test_oversize_nn_mnar_is_refused_before_any_group_runs(monkeypatch):
     small, wide = _lfm_record("d0", 24), _lfm_record("d1", 25, m=20, n=40)
     wide_hood = ("nn-mnar", {"neighborhood_size_range": (3, 50)})
-    # the resolved ranges: the given sizes, the default widths (4, 16); the
-    # 20 x 40 dataset needs more than the 30 x 8 one, whose s clamps to 37
-    need = nn_mnar_peak_bytes(20, 40, 50, 16)
-    assert need > nn_mnar_peak_bytes(30, 8, 50, 16)
+    # the resolved ranges: the given sizes, the default widths (4, 16) and
+    # layers (1, 3); the 20 x 40 dataset needs more than the 30 x 8 one,
+    # whose s clamps to 37
+    need = nn_mnar_peak_bytes(20, 40, 50, 16, 3)
+    assert need > nn_mnar_peak_bytes(30, 8, 50, 16, 3)
 
     def no_group(*args):
         raise AssertionError("a group ran")
@@ -850,7 +976,7 @@ def test_oversize_nn_mnar_is_refused_before_any_group_runs(monkeypatch):
     assert "'nn-mnar'" in message and "'d1' (20x40)" in message
     assert f"{2 * need:,} bytes" in message and "with 2 groups at once" in message
     # a width override counts as well, at one group at a time
-    wide_net = nn_mnar_peak_bytes(20, 40, 8, 64)
+    wide_net = nn_mnar_peak_bytes(20, 40, 8, 64, 3)
     monkeypatch.setattr(bench, "_physical_memory", lambda: wide_net - 1)
     with pytest.raises(ValueError, match=f"needs {wide_net:,} bytes"):
         run_benchmark([small, wide], [("nn-mnar", {"width_range": (4, 64)})], methods,

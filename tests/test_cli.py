@@ -1,5 +1,11 @@
 import argparse
 import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -496,7 +502,7 @@ def test_mask_oversize_nn_mnar_exits_two(tmp_path, capsys, monkeypatch):
     data = _gen_dataset(tmp_path)  # 20 x 6
     out = tmp_path / "nn.csv"
     argv = ["mask", "--data", str(data), "--pattern", "nn-mnar", "--out", str(out)]
-    need = nn_mnar_peak_bytes(20, 6, 8, 16)  # the default ranges, sizes 3-8, widths 4-16
+    need = nn_mnar_peak_bytes(20, 6, 8, 16, 3)  # the default ranges: sizes 3-8, widths 4-16, layers 1-3
     monkeypatch.setattr(bench, "_physical_memory", lambda: need - 1)
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -509,7 +515,19 @@ def test_mask_oversize_nn_mnar_exits_two(tmp_path, capsys, monkeypatch):
     assert main(argv) == 0
     # the flags are resolved before the check
     assert main(argv + ["--neighborhood-size-range", "3:9"]) == 2
-    assert f"needs {nn_mnar_peak_bytes(20, 6, 9, 16):,} bytes" in capsys.readouterr().err
+    assert f"needs {nn_mnar_peak_bytes(20, 6, 9, 16, 3):,} bytes" in capsys.readouterr().err
+
+
+def test_mask_nn_mnar_layer_count_is_refused_up_front(tmp_path, capsys):
+    # every hidden layer's weights are drawn before any cell is masked
+    data = _gen_dataset(tmp_path)  # 20 x 6
+    out = tmp_path / "nn.csv"
+    assert main(["mask", "--data", str(data), "--pattern", "nn-mnar",
+                 "--layer-range", "1000000000:1000000000", "--out", str(out)]) == 2
+    need = nn_mnar_peak_bytes(20, 6, 8, 16, 10**9)
+    assert (f"pattern 'nn-mnar' needs {need:,} bytes of neighborhood arrays and layer "
+            f"weights for dataset 'data' (20x6)") in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "nn.csv.json").exists()
 
 
 @pytest.mark.parametrize("flags, need", [
@@ -739,6 +757,106 @@ def test_internal_key_error_is_not_a_configuration_error(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "report", broken)
     with pytest.raises(KeyError, match="internal"):
         main(["report", "--report", str(tmp_path / "report.json")])
+
+
+def _bench_jobs_2_argv(tmp_path):
+    data_dir = tmp_path / "datasets"
+    data_dir.mkdir()
+    _gen_dataset(data_dir, name="d.csv")
+    return ["bench", "--datasets", str(data_dir), "--patterns", "mcar,panel",
+            "--methods", "col-mean,soft-impute", "--seeds", "2", "--jobs", "2",
+            "--out", str(tmp_path / "run")]
+
+
+def test_bench_exits_two_on_a_value_error_raised_in_a_worker(tmp_path, capsys, monkeypatch):
+    import imputebench.bench as bench
+    from imputebench.core import Mask
+
+    def bad_mask(*args):
+        Mask(np.full((2, 2), 2))
+
+    monkeypatch.setattr(bench, "_run_group", bad_mask)
+    assert main(_bench_jobs_2_argv(tmp_path)) == 2
+    assert "error: mask entries must be 0 or 1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_bench_reports_a_dead_worker_as_an_internal_error(tmp_path, capsys, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    import imputebench.bench as bench
+
+    test_process = os.getpid()
+
+    def kill_the_worker(*args):
+        if os.getpid() == test_process:
+            raise AssertionError("the group ran in the test process")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(bench, "_run_group", kill_the_worker)
+    with pytest.raises(BrokenProcessPool):
+        main(_bench_jobs_2_argv(tmp_path))
+    assert "error:" not in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def _children(pid):
+    """The pids whose parent is ``pid``, from /proc."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                stat = pathlib.Path(f"/proc/{entry}/stat").read_text()
+            except OSError:
+                continue
+            if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+                found.append(int(entry))
+    return found
+
+
+def _running(pid):
+    """Whether ``pid`` exists and is neither a zombie nor dead."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="workers are tied to the grid through Linux's parent-death signal")
+def test_bench_workers_die_with_a_killed_grid(tmp_path):
+    import imputebench
+
+    package_root = str(pathlib.Path(imputebench.__file__).resolve().parents[1])
+    data_dir = tmp_path / "datasets"
+    data_dir.mkdir()
+    _gen_dataset(data_dir, name="d.csv", rows=60, cols=12)
+    grid = subprocess.Popen(
+        [sys.executable, "-m", "imputebench.cli", "bench", "--datasets", str(data_dir),
+         "--methods", "col-mean,ice", "--seeds", "5", "--jobs", "2",
+         "--out", str(tmp_path / "run")],
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and grid.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+            workers = _children(grid.pid)
+        assert len(workers) == 2, "the grid did not start its two workers"
+        grid.kill()
+        grid.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+    finally:
+        grid.kill()
+        grid.wait(timeout=10)
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -470,6 +470,7 @@ def test_nn_mnar_design_peak_memory_at_1000x20(sizes, layers, widths, bound_mib)
 
 @pytest.mark.parametrize("shape, size, width, n_layers", [
     ((1000, 20), 8, 16, 3), ((1000, 20), 200, 4, 1), ((300, 50), 40, 16, 2),
+    ((20, 6), 8, 16, 5000),
 ])
 def test_nn_mnar_peak_bytes_bounds_the_traced_peak(shape, size, width, n_layers):
     # an upper bound that is not loose: the generator peaks at 0.67-0.96 of it here
@@ -483,11 +484,11 @@ def test_nn_mnar_peak_bytes_bounds_the_traced_peak(shape, size, width, n_layers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = mg.nn_mnar_peak_bytes(*shape, size, width)
+    bound = mg.nn_mnar_peak_bytes(*shape, size, width, n_layers)
     assert 0.6 * bound <= peak <= bound, peak / bound
     # s is clamped to the m + n - 1 candidates, as the generator clamps it
-    assert mg.nn_mnar_peak_bytes(*shape, 10**6, width) == mg.nn_mnar_peak_bytes(
-        *shape, sum(shape) - 1, width)
+    assert mg.nn_mnar_peak_bytes(*shape, 10**6, width, n_layers) == mg.nn_mnar_peak_bytes(
+        *shape, sum(shape) - 1, width, n_layers)
 
 
 def _traced_peak(fn, *args, **kwargs):
